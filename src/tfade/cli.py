@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tfade.problems import case, max_error, order_table
-from tfade.soe import CertificationError, build_soe, certify_soe
+from tfade.soe import CertificationError, build_soe, certify_soe, eval_soe
 from tfade.solver import SchemeConfig, SolveError, run
 
 EXIT_OK = 0
@@ -201,14 +201,22 @@ def _methods(spec: RunSpec) -> list[str]:
 
 def _problem(spec: RunSpec):
     if spec.case_id == 0:
-        zero = lambda *a: np.zeros_like(a[0]) if np.ndim(a[0]) else 0.0  # noqa: E731
-        mc = None
-        return mc, (lambda x: np.zeros_like(x), lambda x, t: np.zeros_like(x))
+        return None, (lambda x: np.zeros_like(x), lambda x, t: np.zeros_like(x))
     try:
         mc = case(spec.case_id, spec.alpha, spec.lam, spec.delta)
     except ValueError as exc:
         raise _usage_error(str(exc))
     return mc, mc
+
+
+def _config(spec: RunSpec, m_cells, n_steps, method: str) -> SchemeConfig:
+    """The SchemeConfig of one solve; an invalid value is a usage error."""
+    try:
+        return SchemeConfig(alpha=spec.alpha, lam=spec.lam, M=m_cells, N=n_steps,
+                            T=spec.T, L=spec.L, r=spec.r, epsilon=spec.epsilon,
+                            method=method)
+    except ValueError as exc:
+        raise _usage_error(str(exc))
 
 
 def cmd_solve(spec: RunSpec) -> int:
@@ -217,10 +225,7 @@ def cmd_solve(spec: RunSpec) -> int:
     n_steps, m_cells = spec.n_list[0], spec.m_list[0]
     mc, problem = _problem(spec)
     method = spec.method if spec.method != "both" else "fast"
-    cfg = SchemeConfig(alpha=spec.alpha, lam=spec.lam, M=m_cells, N=n_steps,
-                       T=spec.T, L=spec.L, r=spec.r, epsilon=spec.epsilon,
-                       method=method)
-    traj = run(cfg, problem)
+    traj = run(_config(spec, m_cells, n_steps, method), problem)
     levels = spec.levels or sorted({0, n_steps // 4, n_steps // 2, 3 * n_steps // 4, n_steps})
     bad = [n for n in levels if not 0 <= n <= n_steps or n not in traj.snapshots]
     if bad:
@@ -274,17 +279,19 @@ def cmd_convergence(spec: RunSpec) -> int:
     knob, sweep, fixed = _sweep_axis(spec)
     mc, problem = _problem(spec)
 
-    def one(method: str, value: int) -> float:
-        m_cells, n_steps = (fixed, value) if knob == "N" else (value, fixed)
-        cfg = SchemeConfig(alpha=spec.alpha, lam=spec.lam, M=m_cells, N=n_steps,
-                           T=spec.T, L=spec.L, r=spec.r, epsilon=spec.epsilon,
-                           method=method)
+    jobs = [(method, value) for method in _methods(spec) for value in sweep]
+    # every config is checked before any job reaches the pool
+    configs = [
+        _config(spec, *((fixed, value) if knob == "N" else (value, fixed)), method)
+        for method, value in jobs
+    ]
+
+    def one(cfg: SchemeConfig) -> float:
         return max_error(run(cfg, problem), mc, spec.norm)
 
-    jobs = [(method, value) for method in _methods(spec) for value in sweep]
     workers = min(8, os.cpu_count() or 1, len(jobs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(one, method, value) for method, value in jobs]
+        futures = [pool.submit(one, cfg) for cfg in configs]
         errors = {job: fut.result() for job, fut in zip(jobs, futures)}
 
     with _open_out(spec) as fh:
@@ -320,9 +327,7 @@ def cmd_bench(spec: RunSpec) -> int:
     reps = max(1, spec.reps)
 
     def timed(method: str, n_steps: int) -> tuple[float, int]:
-        cfg = SchemeConfig(alpha=spec.alpha, lam=spec.lam, M=m_cells, N=n_steps,
-                           T=spec.T, L=spec.L, r=spec.r, epsilon=spec.epsilon,
-                           method=method)
+        cfg = _config(spec, m_cells, n_steps, method)
         walls = []
         n_exp = 0
         for _ in range(reps):
@@ -332,12 +337,9 @@ def cmd_bench(spec: RunSpec) -> int:
         walls.sort()
         return walls[len(walls) // 2], n_exp
 
-    # warm code paths (JIT compilation, caches) outside the timings
+    # warm code paths (quadrature caches) outside the timings
     for method in methods:
-        timed_cfg = SchemeConfig(alpha=spec.alpha, lam=spec.lam, M=m_cells,
-                                 N=spec.n_list[0], T=spec.T, L=spec.L, r=spec.r,
-                                 epsilon=spec.epsilon, method=method)
-        run(timed_cfg, problem)
+        run(_config(spec, m_cells, spec.n_list[0], method), problem)
 
     rows: list[TimingRow] = []
     for n_steps in spec.n_list:
@@ -390,7 +392,7 @@ def cmd_soe_check(spec: RunSpec) -> int:
     if spec.out is not None:
         t = np.geomspace(spec.t_min, spec.t_max, min(spec.samples, 10_000))
         kern = t ** (-1.0 - spec.alpha)
-        vals = np.exp(-np.minimum(np.outer(t, soe.exponents), 700.0)) @ soe.weights
+        vals = eval_soe(soe, t)
         rel = np.abs(vals - kern) / kern
         with _open_out(spec) as fh:
             for line in spec.header_lines():

@@ -17,6 +17,11 @@ quadrature per history interval; it is the quadratic-cost baseline and, since
 the two operators share the identical local term, their difference isolates
 the kernel-compression error.
 
+Each formula lives in one function, shared by the solver and the tests:
+`lambda_tables` (moments and decays), `local_coefficients` (B, c_expl and the
+initial-value weight), `history_advance` (the recurrence), `ab_coeffs` (the
+same recurrence unrolled), `direct_quadrature` with `direct_history_weights`
+(the exact-kernel weights) and `explicit_part` (the explicit bracket).
 `oracle_caputo` evaluates the continuous derivative itself by singularity-
 graded composite quadrature; it is the independent reference the discrete
 operators are tested against.
@@ -35,16 +40,15 @@ from tfade.soe import SOEApprox, gamma_fn, gauss_legendre
 __all__ = [
     "ABCoeffs",
     "HistoryState",
-    "StepWeights",
+    "LocalCoefficients",
     "ab_coeffs",
-    "direct_caputo_explicit",
     "direct_history_weights",
-    "fast_caputo_explicit",
+    "direct_quadrature",
+    "explicit_part",
     "history_advance",
     "lambda_tables",
-    "lambda_weights",
+    "local_coefficients",
     "oracle_caputo",
-    "step_weights",
 ]
 
 # Series evaluation of (exp(-z)-1+z)/z^2 and (1-exp(-z)-z exp(-z))/z^2 below
@@ -91,122 +95,29 @@ def _phi_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(small, f1, g1), np.where(small, f2, g2)
 
 
-def lambda_weights(lam: float, s, tau_n: float, tau_np1: float):
-    """Exponential moments of the linear interpolant on one step.
-
-    For mu = lam + s, z = mu*tau_n and zp = mu*tau_{n+1}/2:
-
-        lam1 = exp(-zp) (exp(-z) - 1 + z) / (mu^2 tau_n)
-        lam2 = exp(-zp) (1 - exp(-z) - z exp(-z)) / (mu^2 tau_n)
-
-    i.e. the weights of u(t_n) and u(t_{n-1}) in
-    int_{t_{n-1}}^{t_n} exp(-mu (tbar_n - u)) L1u(u) du.  mu = 0 gives the
-    plain trapezoid (tau_n/2, tau_n/2).  Accepts scalar or array s.
-    """
-    s_arr = np.asarray(s, dtype=float)
-    if s_arr.size == 0:
-        return s_arr.copy(), s_arr.copy()
-    mu = lam + s_arr
-    z = mu * tau_n
-    zp = mu * (0.5 * tau_np1)
-    f1, f2 = _phi_pair(z)
-    damp = tau_n * _exp_neg(zp)
-    lam1 = damp * f1
-    lam2 = damp * f2
-    if np.ndim(s) == 0:
-        return float(lam1), float(lam2)
-    return lam1, lam2
-
-
-@dataclass(frozen=True)
-class StepWeights:
-    """All per-step constants of the discrete operator at step n.
-
-    ``lam1``/``lam2`` are the interpolation moments of the newest history
-    interval [t_{n-1}, t_n] per exponent, ``decay`` re-references the running
-    accumulators from tbar_{n-1} to tbar_n, ``B`` is the local coefficient
-    tau_{n+1}^(-alpha) / (2^(1-alpha) Gamma(2-alpha)), ``c_expl`` the explicit
-    local coefficient (1 - 2 alpha exp(-lam tau_{n+1}/2)) B, and ``bndry`` the
-    initial-value kernel weight exp(-lam tbar_n) tbar_n^(-alpha).
-    """
-
-    n: int
-    alpha: float
-    lam: float
-    lam1: np.ndarray
-    lam2: np.ndarray
-    decay: np.ndarray
-    B: float
-    c_expl: float
-    bndry: float
-    omega: np.ndarray = field(repr=False, default_factory=lambda: np.empty(0))
-    inv_gamma1: float = 0.0  # 1 / Gamma(1 - alpha)
-
-
-def step_weights(
-    mesh: TemporalMesh,
-    soe: SOEApprox | None,
-    lam: float,
-    alpha: float,
-    n: int,
-) -> StepWeights:
-    """Assemble the per-step constants for step n, 0 <= n <= N-1.
-
-    ``soe`` may be None for the direct (exact-kernel) method, in which case
-    the exponent-indexed arrays are empty; the local coefficients are shared
-    by both methods.
-    """
-    if not 0 <= n <= mesh.N - 1:
-        raise ValueError(f"step index n must be in [0, {mesh.N - 1}], got {n}")
-    tau_np1 = float(mesh.tau[n])
-    B = tau_np1 ** (-alpha) / (2.0 ** (1.0 - alpha) * gamma_fn(2.0 - alpha))
-    c_expl = (1.0 - 2.0 * alpha * math.exp(-lam * tau_np1 / 2.0)) * B
-    tbar_n = float(mesh.tbar[n])
-    bndry = math.exp(-lam * tbar_n) * tbar_n ** (-alpha)
-    exps = soe.exponents if soe is not None else np.empty(0)
-    omega = soe.weights if soe is not None else np.empty(0)
-    if n >= 1:
-        tau_n = float(mesh.tau[n - 1])
-        lam1, lam2 = lambda_weights(lam, exps, tau_n, tau_np1)
-        decay = _exp_neg((lam + exps) * 0.5 * (tau_n + tau_np1))
-    else:
-        lam1 = np.zeros_like(exps)
-        lam2 = np.zeros_like(exps)
-        decay = np.ones_like(exps)
-    return StepWeights(
-        n=n,
-        alpha=float(alpha),
-        lam=float(lam),
-        lam1=np.atleast_1d(lam1),
-        lam2=np.atleast_1d(lam2),
-        decay=decay,
-        B=B,
-        c_expl=c_expl,
-        bndry=bndry,
-        omega=omega,
-        inv_gamma1=1.0 / gamma_fn(1.0 - alpha),
-    )
-
-
 def lambda_tables(
-    mesh: TemporalMesh, soe: SOEApprox, lam: float
+    mesh: TemporalMesh, exponents: np.ndarray, lam: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All per-step interpolation moments and decays as (N, n_exp) tables.
 
-    Row n holds lam1_{i,n}, lam2_{i,n} and the tbar_{n-1} -> tbar_n decay
-    used when advancing the history into step n; row 0 is unused (zero
-    moments, unit decay).  Equivalent to calling `step_weights` per step,
-    but built in a few vectorized passes so a long march does not pay the
-    series evaluation per step.
+    Row n >= 1 holds, for mu = lam + s_i, z = mu tau_n and zp = mu tau_{n+1}/2,
+
+        lam1_{i,n} = exp(-zp) (exp(-z) - 1 + z) / (mu^2 tau_n)
+        lam2_{i,n} = exp(-zp) (1 - exp(-z) - z exp(-z)) / (mu^2 tau_n),
+
+    the weights of u(t_n) and u(t_{n-1}) in
+    int_{t_{n-1}}^{t_n} exp(-mu (tbar_n - u)) L1u(u) du (mu = 0 gives the
+    trapezoid tau_n/2, tau_n/2), and the tbar_{n-1} -> tbar_n decay
+    exp(-mu (tau_n + tau_{n+1})/2) used when advancing the history into
+    step n.  Row 0 is unused (zero moments, unit decay).
     """
-    exps = soe.exponents
     n_steps = mesh.N
-    lam1 = np.zeros((n_steps, len(exps)))
-    lam2 = np.zeros((n_steps, len(exps)))
-    decay = np.ones((n_steps, len(exps)))
-    mu = lam + exps
+    lam1 = np.zeros((n_steps, len(exponents)))
+    lam2 = np.zeros((n_steps, len(exponents)))
+    decay = np.ones((n_steps, len(exponents)))
+    mu = lam + exponents
     # chunked over rows to keep the (rows x n_exp) intermediates cache-friendly
-    chunk = max(1, 4_000_000 // max(len(exps), 1))
+    chunk = max(1, 4_000_000 // max(len(exponents), 1))
     for lo in range(1, n_steps, chunk):
         hi = min(lo + chunk, n_steps)
         tau_n = mesh.tau[lo - 1 : hi - 1, None]
@@ -218,6 +129,48 @@ def lambda_tables(
         lam2[lo:hi] = damp * f2
         decay[lo:hi] = _exp_neg(0.5 * (tau_n + tau_np1) * mu[None, :])
     return lam1, lam2, decay
+
+
+@dataclass(frozen=True)
+class LocalCoefficients:
+    """The local coefficients of the operator at every half level tbar_n.
+
+    ``B[n]`` = tau_{n+1}^(-alpha) / (2^(1-alpha) Gamma(2-alpha)) multiplies
+    u^{n+1}, ``c_expl[n]`` = (1 - 2 alpha exp(-lam tau_{n+1}/2)) B[n]
+    multiplies u^n, ``bndry[n]`` = exp(-lam tbar_n) tbar_n^(-alpha) weights
+    the initial value, and ``inv_gamma1`` = 1 / Gamma(1 - alpha) scales the
+    history bracket.  The arrays have N entries, one per step.
+    """
+
+    B: np.ndarray
+    c_expl: np.ndarray
+    bndry: np.ndarray
+    inv_gamma1: float
+
+
+def local_coefficients(mesh: TemporalMesh, alpha: float, lam: float) -> LocalCoefficients:
+    """Compute the local coefficients of every step in one vectorized pass.
+
+    Both methods share them: only the history bracket differs.
+    """
+    B = mesh.tau ** (-alpha) / (2.0 ** (1.0 - alpha) * gamma_fn(2.0 - alpha))
+    c_expl = (1.0 - 2.0 * alpha * np.exp(-lam * mesh.tau / 2.0)) * B
+    bndry = np.exp(-lam * mesh.tbar) * mesh.tbar ** (-alpha)
+    return LocalCoefficients(B, c_expl, bndry, 1.0 / gamma_fn(1.0 - alpha))
+
+
+def explicit_part(coeffs: LocalCoefficients, n: int, u_n, u_0, hist):
+    """Explicit part E of the operator at tbar_n; the operator is B[n] u^{n+1} + E.
+
+        E = c_expl u^n - (hist + bndry u^0) / Gamma(1-alpha)
+
+    ``hist`` is the history bracket of step n: alpha sum_i omega_i H_i for
+    the fast operator, alpha sum_k (a_k u^k + b_k u^{k-1}) for the direct one and
+    0 at n = 0, where the boundary term reduces the operator to
+    B [u^1 + (1 - 2 exp(-lam tau_1/2)) u^0] exactly.  Scalars or arrays over
+    the spatial points.
+    """
+    return coeffs.c_expl[n] * u_n - coeffs.inv_gamma1 * (hist + coeffs.bndry[n] * u_0)
 
 
 @dataclass
@@ -238,10 +191,15 @@ def history_advance(
     state: HistoryState,
     u_n: np.ndarray,
     u_nm1: np.ndarray,
-    w: StepWeights,
+    lam1: np.ndarray,
+    lam2: np.ndarray,
+    decay: np.ndarray,
     n: int,
 ) -> HistoryState:
-    """Push the interval [t_{n-1}, t_n] into the accumulators (in place)."""
+    """Push the interval [t_{n-1}, t_n] into the accumulators (in place).
+
+    ``lam1``, ``lam2`` and ``decay`` are row n of `lambda_tables`.
+    """
     if n < 1:
         raise ValueError("history_advance requires n >= 1; step 0 has no history")
     if state.n_last != n - 1:
@@ -256,30 +214,11 @@ def history_advance(
     if state._work is None or state._work.shape != state.H.shape:
         state._work = np.empty_like(state.H)
     uu = np.stack((u_n, u_nm1))  # (2, J)
-    ll = np.stack((w.lam1, w.lam2))  # (2, I)
-    state.H *= w.decay
+    ll = np.stack((lam1, lam2))  # (2, I)
+    state.H *= decay
     state.H += np.matmul(uu.T, ll, out=state._work)
     state.n_last = n
     return state
-
-
-def fast_caputo_explicit(u_hist, H_row, w: StepWeights, n: int) -> float:
-    """Explicit part E of the fast operator at one spatial point.
-
-    The full operator value at tbar_n is B * u^{n+1} + E with
-
-        E = c_expl u^n - (alpha sum_i omega_i H_i + bndry u^0) / Gamma(1-alpha).
-
-    At n = 0 the history accumulators are zero and the boundary term reduces
-    the operator to B [u^1 + (1 - 2 exp(-lam tau_1/2)) u^0] exactly.
-    """
-    u_hist = np.asarray(u_hist, dtype=float)
-    H_row = np.asarray(H_row, dtype=float).reshape(-1)
-    hist = float(w.omega @ H_row) if w.omega.size else 0.0
-    return float(
-        w.c_expl * u_hist[n]
-        - w.inv_gamma1 * (w.alpha * hist + w.bndry * u_hist[0])
-    )
 
 
 @dataclass(frozen=True)
@@ -300,82 +239,68 @@ def ab_coeffs(
     mesh: TemporalMesh, soe: SOEApprox, lam: float, alpha: float, n: int
 ) -> ABCoeffs:
     """Compute a_{j,n} = alpha sum_i omega_i e^{-(lam+s_i)(tbar_n - tbar_{n-j})} lam1_{i,n-j}
-    and the lam2 analogue b_{j,n}."""
+    and the lam2 analogue b_{j,n}, with the moments taken from `lambda_tables`."""
     if n < 1:
         raise ValueError("ab_coeffs requires n >= 1")
     if n > mesh.N - 1:
         raise ValueError(f"step index n must be <= {mesh.N - 1}, got {n}")
-    mu = lam + soe.exponents  # (I,)
+    lam1, lam2, _ = lambda_tables(mesh, soe.exponents, lam)
     ks = np.arange(1, n + 1)
-    tau_k = mesh.tau[ks - 1][:, None]  # (n, 1)
-    tau_kp1 = mesh.tau[ks][:, None]
-    z = mu[None, :] * tau_k
-    zp = mu[None, :] * (0.5 * tau_kp1)
-    f1, f2 = _phi_pair(z)
-    damp = tau_k * _exp_neg(zp)
-    shift = _exp_neg(np.outer(mesh.tbar[n] - mesh.tbar[ks], mu))  # (n, I)
-    a_by_k = alpha * ((shift * damp * f1) @ soe.weights)
-    b_by_k = alpha * ((shift * damp * f2) @ soe.weights)
+    shift = _exp_neg(np.outer(mesh.tbar[n] - mesh.tbar[ks], lam + soe.exponents))  # (n, I)
+    a_by_k = alpha * ((shift * lam1[ks]) @ soe.weights)
+    b_by_k = alpha * ((shift * lam2[ks]) @ soe.weights)
     # interval k corresponds to offset j = n - k
     return ABCoeffs(n=n, a=a_by_k[::-1].copy(), b=b_by_k[::-1].copy())
 
 
+def direct_quadrature(mesh: TemporalMesh, n_nodes: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and hat weights on every interval of the mesh.
+
+    Returns (nodes, hats): ``nodes[k-1]`` holds the n_nodes nodes on
+    [t_{k-1}, t_k]; ``hats[k-1, :, 0]`` the quadrature weights times the
+    right hat (s - t_{k-1})/tau_k and ``hats[k-1, :, 1]`` times the left hat
+    (t_k - s)/tau_k.
+    """
+    rule = gauss_legendre(n_nodes)
+    t0 = mesh.t[:-1]
+    half = 0.5 * mesh.tau
+    nodes = (t0 + half)[:, None] + half[:, None] * rule.nodes[None, :]
+    wq = half[:, None] * rule.weights[None, :]
+    right = (nodes - t0[:, None]) / mesh.tau[:, None]
+    hats = np.empty(nodes.shape + (2,))
+    hats[..., 0] = wq * right
+    hats[..., 1] = wq * (1.0 - right)
+    return nodes, hats
+
+
 def direct_history_weights(
-    mesh: TemporalMesh,
+    nodes: np.ndarray,
+    hats: np.ndarray,
+    tbar_n: float,
     lam: float,
     alpha: float,
     n: int,
-    n_nodes: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-kernel history weights for step n by per-interval quadrature.
+    """Exact-kernel history weights of step n >= 1 from `direct_quadrature` tables.
 
-    Returns (A, B) of length n where the history bracket is
-    sum_{k=1..n} A[k-1] u^k + B[k-1] u^{k-1}, with
+    Returns (a, b) of length n where the history bracket is
+    alpha sum_{k=1..n} a[k-1] u^k + b[k-1] u^{k-1}, with
 
-        A[k-1] = alpha int_{t_{k-1}}^{t_k} e^{-lam(tbar_n - s)}
+        a[k-1] = int_{t_{k-1}}^{t_k} e^{-lam(tbar_n - s)}
                  (tbar_n - s)^{-1-alpha} (s - t_{k-1})/tau_k ds
 
-    and B the (t_k - s)/tau_k analogue.  The integrands are smooth on the
-    history intervals since tbar_n - s >= tau_{n+1}/2 there.
+    and b the (t_k - s)/tau_k analogue, times any constant the caller
+    folded into ``hats``.  The integrands are smooth on the history intervals since
+    tbar_n - s >= tau_{n+1}/2 there.  The kernel at the n x q nodes and one
+    batched contraction are the direct method's O(n) per-step work.
     """
     if n < 1:
         raise ValueError("direct_history_weights requires n >= 1")
-    rule = gauss_legendre(n_nodes)
-    t0 = mesh.t[:n]
-    t1 = mesh.t[1 : n + 1]
-    tau = mesh.tau[:n]
-    mid = 0.5 * (t0 + t1)
-    half = 0.5 * tau
-    s = mid[:, None] + half[:, None] * rule.nodes[None, :]  # (n, q)
-    wq = half[:, None] * rule.weights[None, :]
-    v = mesh.tbar[n] - s
-    kern = np.exp(-lam * v) * v ** (-1.0 - alpha)
-    hat_r = (s - t0[:, None]) / tau[:, None]
-    a = alpha * np.sum(wq * kern * hat_r, axis=1)
-    b = alpha * np.sum(wq * kern * (1.0 - hat_r), axis=1)
-    return a, b
-
-
-def direct_caputo_explicit(
-    u_hist, mesh: TemporalMesh, lam: float, alpha: float, n: int
-) -> float:
-    """Explicit part of the exact-kernel (L1-type) operator at one point.
-
-    Same structure as `fast_caputo_explicit`; only the history kernel differs
-    (exact power kernel by quadrature instead of the exponential sum).  The
-    local term is identical, so fast-minus-direct is purely the kernel
-    compression error.
-    """
-    u_hist = np.asarray(u_hist, dtype=float)
-    w = step_weights(mesh, None, lam, alpha, n)
-    if n >= 1:
-        a, b = direct_history_weights(mesh, lam, alpha, n)
-        hist = float(a @ u_hist[1 : n + 1] + b @ u_hist[:n])
-    else:
-        hist = 0.0
-    return float(
-        w.c_expl * u_hist[n] - w.inv_gamma1 * (hist + w.bndry * u_hist[0])
-    )
+    v = tbar_n - nodes[:n]
+    kern = np.exp(-lam * v)
+    kern *= v ** (-1.0 - alpha)
+    ab = np.matmul(kern[:, None, :], hats[:n])  # (n, 1, 2)
+    return ab[:, 0, 0], ab[:, 0, 1]
 
 
 def oracle_caputo(

@@ -14,6 +14,8 @@ so a step costs its history term plus O(M) vector work.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass
@@ -25,22 +27,17 @@ from scipy.linalg.lapack import dgtsv
 from tfade.mesh import SpatialGrid, TemporalMesh, graded_mesh, soe_interval, uniform_grid
 from tfade.operators import (
     HistoryState,
-    StepWeights,
+    LocalCoefficients,
+    direct_history_weights,
+    direct_quadrature,
     history_advance,
     lambda_tables,
+    local_coefficients,
 )
 from tfade.problems import l2_norm
-from tfade.soe import SOEApprox, build_soe, gamma_fn, gauss_legendre
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional; the NumPy path is the reference
-    HAVE_NUMBA = False
+from tfade.soe import build_soe
 
 __all__ = [
-    "MarchState",
     "SchemeConfig",
     "SolveError",
     "Trajectory",
@@ -53,7 +50,7 @@ __all__ = [
 
 # keep every time level in the trajectory as long as the table stays this small
 _SNAPSHOT_BUDGET = 10_000_000
-# the NumPy march checks its new levels for NaN/Inf in blocks of this many
+# the march checks its new levels for NaN/Inf in blocks of this many
 # steps: a check per step would cost as much as the rest of a small step's
 # O(M) work, and a block bounds the steps marched past a failure
 _FINITE_BLOCK = 32
@@ -72,10 +69,12 @@ class SchemeConfig:
     """Problem plus discretization parameters for one run.
 
     ``method`` selects the history treatment: "fast" (exponential-sum
-    recurrence) or "direct" (exact-kernel quadrature, quadratic cost).  A
-    too-large final step, tau_max^(2-2 alpha) >= 1/3, voids the sufficient
-    stability condition; that only triggers a warning since the condition is
-    not necessary.
+    recurrence) or "direct" (exact-kernel quadrature, quadratic cost).  Every
+    field is checked when the config is built, so a non-finite number, a
+    non-integer M or N or a value out of range raises ValueError naming the
+    field before any solve starts.  A too-large final step,
+    tau_max^(2-2 alpha) >= 1/3, voids the sufficient stability condition;
+    that only triggers a warning since the condition is not necessary.
     """
 
     alpha: float
@@ -89,18 +88,23 @@ class SchemeConfig:
     method: str = "fast"
 
     def __post_init__(self):
+        for name in ("alpha", "lam", "T", "L", "r", "epsilon"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("M", "N"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 2:
+                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.lam < 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam!r}")
-        if not self.T > 0 or not self.L > 0:
-            raise ValueError("T and L must be positive")
-        if self.M < 2 or self.N < 2:
-            raise ValueError("M and N must be >= 2")
+        for name in ("T", "L", "epsilon"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.r < 1.0:
             raise ValueError(f"grading exponent r must be >= 1, got {self.r!r}")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
         if self.method not in ("fast", "direct"):
             raise ValueError(f"method must be 'fast' or 'direct', got {self.method!r}")
         tau_max = self.T * (1.0 - ((self.N - 1) / self.N) ** self.r)
@@ -174,86 +178,19 @@ class Trajectory:
         return np.concatenate(([0.0], self.snapshots[n], [0.0]))
 
 
-@dataclass
-class MarchState:
-    """Everything `assemble_step` needs: grids, retained levels, history.
-
-    ``levels`` is the (N+1, M-1) table of interior values filled row by row
-    as the march proceeds.  `assemble_step` builds one step's system from
-    these; `run` marches with the same arithmetic folded into per-run tables.
-    """
-
-    config: SchemeConfig
-    mesh: TemporalMesh
-    grid: SpatialGrid
-    levels: np.ndarray
-    soe: SOEApprox | None = None
-    hist: HistoryState | None = None
-    # static per-interval quadrature tables for the direct method
-    quad_s: np.ndarray | None = None
-    quad_w1: np.ndarray | None = None
-    quad_ratio: np.ndarray | None = None
-
-
-def _direct_tables(mesh: TemporalMesh, n_nodes: int = 32):
-    """Per-interval Gauss nodes and hat-weighted quadrature weights.
-
-    quad_s[k-1] holds the nodes on [t_{k-1}, t_k]; quad_w1 the weights
-    premultiplied by the right-hat values, quad_ratio the left/right hat
-    ratio (finite: Gauss nodes never touch the interval ends), so a step
-    only evaluates the kernel at tbar_n - s and contracts twice.
-    """
-    rule = gauss_legendre(n_nodes)
-    t0 = mesh.t[:-1]
-    tau = mesh.tau
-    half = 0.5 * tau
-    s = (t0 + half)[:, None] + half[:, None] * rule.nodes[None, :]
-    wq = half[:, None] * rule.weights[None, :]
-    hat_r = (s - t0[:, None]) / tau[:, None]
-    return s, wq * hat_r, (1.0 - hat_r) / hat_r
-
-
 def _direct_history(
-    quad_s, quad_w1, quad_ratio, tbar_n: float, lam: float, alpha: float,
+    nodes: np.ndarray, hats: np.ndarray, tbar_n: float, lam: float, alpha: float,
     levels: np.ndarray, n: int,
 ) -> np.ndarray:
-    """Exact-kernel history sum sum_k (A_k U^k + B_k U^{k-1}) of step n >= 1.
+    """Exact-kernel history sum sum_k (a_k U^k + b_k U^{k-1}) of step n >= 1.
 
-    A_k and B_k carry whatever constant factor the caller folded into
-    ``quad_w1`` (alpha for the bracket).  The kernel exp(-lam v)
-    v^(-1-alpha) at the n x q Gauss nodes is the direct method's O(n)
-    per-step work.
+    a_k and b_k are `direct_history_weights` and carry whatever constant
+    factor the caller folded into ``hats``.
     """
-    v = tbar_n - quad_s[:n]
-    kern = np.exp(-lam * v)
-    kern *= v ** (-1.0 - alpha)
-    kern *= quad_w1[:n]
-    a = kern.sum(axis=1)
-    kern *= quad_ratio[:n]
-    b = kern.sum(axis=1)
+    a, b = direct_history_weights(nodes, hats, tbar_n, lam, alpha, n)
     hist = a @ levels[1 : n + 1]
     hist += b @ levels[:n]
     return hist
-
-
-def _explicit_part(state: MarchState, w: StepWeights, n: int) -> np.ndarray:
-    """Vectorized explicit operator part E over interior points."""
-    cfg = state.config
-    u_n = state.levels[n]
-    u_0 = state.levels[0]
-    if cfg.method == "fast":
-        hist = state.hist.H @ w.omega if w.omega.size else 0.0
-        bracket = w.alpha * hist + w.bndry * u_0
-    else:
-        if n >= 1:
-            hist = _direct_history(
-                state.quad_s, cfg.alpha * state.quad_w1[:n], state.quad_ratio,
-                state.mesh.tbar[n], cfg.lam, cfg.alpha, state.levels, n,
-            )
-        else:
-            hist = 0.0
-        bracket = hist + w.bndry * u_0
-    return w.c_expl * u_n - w.inv_gamma1 * bracket
 
 
 def _offdiagonals(h: float) -> tuple[float, float]:
@@ -266,30 +203,30 @@ def _offdiagonals(h: float) -> tuple[float, float]:
 
 
 def assemble_step(
-    state: MarchState, w: StepWeights, f_bar: np.ndarray, n: int
+    h: float, tau: float, B: float, u_n: np.ndarray, E: np.ndarray, f_bar: np.ndarray
 ) -> TridiagonalSystem:
-    """Build the step-n tridiagonal system for the interior unknowns.
+    """Build one step's tridiagonal system for the interior unknowns.
 
-    Row j of the left side reads
+    ``tau`` is the step tau_{n+1}, ``B`` its local coefficient, ``u_n`` the
+    interior values of level n and ``E`` the explicit operator part
+    (`tfade.operators.explicit_part`).  Row j of the left side reads
         (-1/(2h^2) + 1/(4h)) U_{j+1} + (1/tau + B + 1/h^2) U_j
         + (-1/(2h^2) - 1/(4h)) U_{j-1},
-    the right side carries the explicit halves of the space operators, the
-    explicit operator part and the forcing at the half level.
+    the right side carries the explicit halves of the space operators, -E
+    and the forcing at the half level.  `run` marches the same arithmetic
+    folded into per-run tables; this is the one-step reference.
     """
-    h = state.grid.h
-    m = state.grid.M - 1
-    tau = float(state.mesh.tau[n])
+    m = len(u_n)
     inv_h2 = 1.0 / (h * h)
     lo, up = _offdiagonals(h)
-    u_n = state.levels[n]
     pad = np.concatenate(([0.0], u_n, [0.0]))
     # rhs = u_n/tau + (delta_xx - delta_x)(u_n)/2 - E + f_bar, with the
     # space stencils folded into the three neighbor coefficients
     rhs = -up * pad[2:] - lo * pad[:-2] + (1.0 / tau - inv_h2) * u_n
-    rhs -= _explicit_part(state, w, n)
+    rhs -= E
     rhs += f_bar
     return TridiagonalSystem(
-        lower=np.full(m, lo), diag=np.full(m, 1.0 / tau + w.B + inv_h2),
+        lower=np.full(m, lo), diag=np.full(m, 1.0 / tau + B + inv_h2),
         upper=np.full(m, up), rhs=rhs,
     )
 
@@ -301,78 +238,6 @@ def _coerce_problem(problem) -> tuple[Callable, Callable]:
         return problem["phi"], problem["f"]
     phi, f = problem
     return phi, f
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _direct_march_jit(
-        levels, quad_s, quad_w1, quad_ratio, tbar, tau,
-        b_arr, ce_arr, bnd_arr, f_table, alpha, lam, inv_g1, h
-    ):  # pragma: no cover - exercised via run(); equivalence-tested vs NumPy path
-        n_steps = levels.shape[0] - 1
-        m = levels.shape[1]
-        q = quad_s.shape[1]
-        inv_h2 = 1.0 / (h * h)
-        inv_4h = 1.0 / (4.0 * h)
-        lo_c = -0.5 * inv_h2 - inv_4h
-        up_c = -0.5 * inv_h2 + inv_4h
-        ku = 0.5 * inv_h2 - inv_4h
-        kd = 0.5 * inv_h2 + inv_4h
-        p = -1.0 - alpha
-        cp = np.empty(m)
-        dp = np.empty(m)
-        hist = np.empty(m)
-        rhs = np.empty(m)
-        a_k = np.empty(n_steps)
-        b_k = np.empty(n_steps)
-        for n in range(n_steps):
-            tn = tau[n]
-            diag = 1.0 / tn + b_arr[n] + inv_h2
-            for i in range(m):
-                hist[i] = 0.0
-            if n >= 1:
-                tb = tbar[n]
-                for k in range(n):
-                    sa = 0.0
-                    sb = 0.0
-                    for j in range(q):
-                        v = tb - quad_s[k, j]
-                        kern = np.exp(-lam * v) * v**p
-                        wk = quad_w1[k, j] * kern
-                        sa += wk
-                        sb += wk * quad_ratio[k, j]
-                    a_k[k] = alpha * sa
-                    b_k[k] = alpha * sb
-                for k in range(n):
-                    av = a_k[k]
-                    bv = b_k[k]
-                    for i in range(m):
-                        hist[i] += av * levels[k + 1, i] + bv * levels[k, i]
-            kc = 1.0 / tn - inv_h2
-            for i in range(m):
-                upv = levels[n, i + 1] if i + 1 < m else 0.0
-                dnv = levels[n, i - 1] if i >= 1 else 0.0
-                e_i = ce_arr[n] * levels[n, i] - inv_g1 * (
-                    hist[i] + bnd_arr[n] * levels[0, i]
-                )
-                rhs[i] = upv * ku + dnv * kd + levels[n, i] * kc - e_i + f_table[n, i]
-            beta = diag
-            if not abs(beta) > 0.0:
-                return n
-            cp[0] = up_c / beta
-            dp[0] = rhs[0] / beta
-            for i in range(1, m):
-                beta = diag - lo_c * cp[i - 1]
-                if not abs(beta) > 0.0:
-                    return n
-                cp[i] = up_c / beta
-                dp[i] = (rhs[i] - lo_c * dp[i - 1]) / beta
-            levels[n + 1, m - 1] = dp[m - 1]
-            for i in range(m - 2, -1, -1):
-                dp[i] = dp[i] - cp[i] * dp[i + 1]
-                levels[n + 1, i] = dp[i]
-        return -1
 
 
 def _forcing_table(f: Callable, xi: np.ndarray, tbar: np.ndarray) -> np.ndarray:
@@ -408,10 +273,7 @@ def _march(
     f_table: np.ndarray,
     mesh: TemporalMesh,
     h: float,
-    b_arr: np.ndarray,
-    ce_arr: np.ndarray,
-    bnd_arr: np.ndarray,
-    inv_g1: float,
+    coeffs: LocalCoefficients,
     history: Callable[[int], np.ndarray],
 ) -> None:
     """Fill levels[1:] step by step; the same arithmetic as `assemble_step`.
@@ -432,14 +294,14 @@ def _march(
     lower = np.full(m - 1, lo)
     upper = np.full(m - 1, up)
     diag = np.empty(m)
-    diag_n = 1.0 / mesh.tau + b_arr + inv_h2
+    diag_n = 1.0 / mesh.tau + coeffs.B + inv_h2
     # rhs_j = -lo U_{j-1} + (1/tau - 1/h^2 - c_expl) U_j - up U_{j+1}
     #         + f_j + (history_j + bndry U^0_j) / Gamma(1 - alpha)
     stencil = np.empty((n_steps, 3))
     stencil[:, 0] = -lo
-    stencil[:, 1] = 1.0 / mesh.tau - inv_h2 - ce_arr
+    stencil[:, 1] = 1.0 / mesh.tau - inv_h2 - coeffs.c_expl
     stencil[:, 2] = -up
-    f_table += np.outer(inv_g1 * bnd_arr, levels[0])
+    f_table += np.outer(coeffs.inv_gamma1 * coeffs.bndry, levels[0])
     pad = np.zeros(m + 2)
     checked = 0  # levels[:checked] are known to be finite
     for n in range(n_steps):
@@ -478,54 +340,35 @@ def run(config: SchemeConfig, problem) -> Trajectory:
     levels[0] = np.asarray(phi(xi), dtype=float)
     f_table = _forcing_table(f, xi, mesh.tbar)
 
-    # per-step scalar coefficients, one vectorized pass
     alpha, lam = config.alpha, config.lam
-    b_arr = mesh.tau ** (-alpha) / (2.0 ** (1.0 - alpha) * gamma_fn(2.0 - alpha))
-    ce_arr = (1.0 - 2.0 * alpha * np.exp(-lam * mesh.tau / 2.0)) * b_arr
-    bnd_arr = np.exp(-lam * mesh.tbar) * mesh.tbar ** (-alpha)
-    inv_g1 = 1.0 / gamma_fn(1.0 - alpha)
-    hist_scale = alpha * inv_g1
+    coeffs = local_coefficients(mesh, alpha, lam)
+    # the history bracket enters the right side as alpha/Gamma(1-alpha) times
+    # the bare kernel sums; fold that into the per-run tables
+    hist_scale = alpha * coeffs.inv_gamma1
 
     n_exp_used = 0
     if config.method == "fast":
         soe = build_soe(alpha, config.epsilon, *soe_interval(mesh))
         n_exp_used = soe.n_exp
         hist_state = HistoryState(H=np.zeros((config.M - 1, n_exp_used)), n_last=0)
-        lam1_t, lam2_t, decay_t = lambda_tables(mesh, soe, lam)
+        lam1_t, lam2_t, decay_t = lambda_tables(mesh, soe.exponents, lam)
         omega_scaled = hist_scale * soe.weights
 
         def history(n: int) -> np.ndarray:
-            w = StepWeights(
-                n=n, alpha=alpha, lam=lam,
-                lam1=lam1_t[n], lam2=lam2_t[n], decay=decay_t[n],
-                B=float(b_arr[n]), c_expl=float(ce_arr[n]), bndry=float(bnd_arr[n]),
-                omega=soe.weights, inv_gamma1=inv_g1,
+            history_advance(
+                hist_state, levels[n], levels[n - 1], lam1_t[n], lam2_t[n], decay_t[n], n
             )
-            history_advance(hist_state, levels[n], levels[n - 1], w, n)
             return hist_state.H @ omega_scaled
 
-        _march(levels, f_table, mesh, grid.h, b_arr, ce_arr, bnd_arr, inv_g1, history)
     else:
-        quad_s, quad_w1, quad_ratio = _direct_tables(mesh)
-        if HAVE_NUMBA:
-            bad = _direct_march_jit(
-                levels, quad_s, quad_w1, quad_ratio,
-                mesh.tbar, mesh.tau, b_arr, ce_arr, bnd_arr, f_table,
-                float(alpha), float(lam), inv_g1, grid.h,
-            )
-            if bad >= 0:
-                raise SolveError(f"pivot breakdown while solving step {bad}", step=bad)
-            _raise_if_nonfinite(levels, 0, config.N + 1)
-        else:
-            tbar = mesh.tbar
-            quad_w1 *= hist_scale
+        nodes, hats = direct_quadrature(mesh)
+        hats *= hist_scale
+        tbar = mesh.tbar
 
-            def history(n: int) -> np.ndarray:
-                return _direct_history(
-                    quad_s, quad_w1, quad_ratio, tbar[n], lam, alpha, levels, n
-                )
+        def history(n: int) -> np.ndarray:
+            return _direct_history(nodes, hats, tbar[n], lam, alpha, levels, n)
 
-            _march(levels, f_table, mesh, grid.h, b_arr, ce_arr, bnd_arr, inv_g1, history)
+    _march(levels, f_table, mesh, grid.h, coeffs, history)
 
     wall = time.perf_counter() - start
     total = (config.M - 1) * (config.N + 1)

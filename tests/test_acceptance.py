@@ -24,11 +24,13 @@ from tfade.mesh import graded_mesh, soe_interval
 from tfade.operators import (
     HistoryState,
     ab_coeffs,
-    direct_caputo_explicit,
-    fast_caputo_explicit,
+    direct_history_weights,
+    direct_quadrature,
+    explicit_part,
     history_advance,
+    lambda_tables,
+    local_coefficients,
     oracle_caputo,
-    step_weights,
 )
 from tfade.problems import case, h1_norm, l2_norm, max_error, order_table
 from tfade.soe import build_soe, gamma_fn
@@ -303,13 +305,15 @@ def operator_errors():
         mesh = graded_mesh(2.0, n_steps, R5)
         soe = build_soe(ALPHA5, 1e-10, *soe_interval(mesh))
         u = np.exp(-LAM5 * mesh.t) * mesh.t**DELTA5
+        coeffs = local_coefficients(mesh, ALPHA5, LAM5)
+        lam1, lam2, decay = lambda_tables(mesh, soe.exponents, LAM5)
         hist = HistoryState(H=np.zeros((1, soe.n_exp)))
         errs = np.empty(n_steps)
         for n in range(n_steps):
-            w = step_weights(mesh, soe, LAM5, ALPHA5, n)
             if n >= 1:
-                history_advance(hist, u[n : n + 1], u[n - 1 : n], w, n)
-            val = w.B * u[n + 1] + fast_caputo_explicit(u[: n + 1], hist.H[0], w, n)
+                history_advance(hist, u[n : n + 1], u[n - 1 : n], lam1[n], lam2[n], decay[n], n)
+            bracket = ALPHA5 * float(hist.H[0] @ soe.weights)
+            val = coeffs.B[n] * u[n + 1] + explicit_part(coeffs, n, u[n], u[0], bracket)
             exact = math.exp(-LAM5 * mesh.tbar[n]) * gq * mesh.tbar[n] ** (DELTA5 - ALPHA5)
             errs[n] = abs(val - exact)
         out[n_steps] = errs
@@ -455,20 +459,24 @@ def test_criterion_8_complexity():
 def _check_two_path():
     mesh = graded_mesh(2.0, 16, 3.0)
     soe = build_soe(0.5, 1e-10, *soe_interval(mesh))
+    coeffs = local_coefficients(mesh, 0.5, 1.0)
+    lam1, lam2, decay = lambda_tables(mesh, soe.exponents, 1.0)
     rng = np.random.default_rng(11)
     u = rng.standard_normal(17)
     hist = HistoryState(H=np.zeros((1, soe.n_exp)))
     for n in range(16):
-        w = step_weights(mesh, soe, 1.0, 0.5, n)
         if n >= 1:
-            history_advance(hist, u[n : n + 1], u[n - 1 : n], w, n)
-        val = w.B * u[n + 1] + fast_caputo_explicit(u[: n + 1], hist.H[0], w, n)
+            history_advance(hist, u[n : n + 1], u[n - 1 : n], lam1[n], lam2[n], decay[n], n)
+        bracket = 0.5 * float(hist.H[0] @ soe.weights)
+        val = coeffs.B[n] * u[n + 1] + explicit_part(coeffs, n, u[n], u[0], bracket)
         if n >= 1:
             ab = ab_coeffs(mesh, soe, 1.0, 0.5, n)
-            bracket = ab.a[0] * u[n] + (ab.b[n - 1] + w.bndry) * u[0]
+            bracket = ab.a[0] * u[n] + (ab.b[n - 1] + coeffs.bndry[n]) * u[0]
             for l in range(1, n):
                 bracket += (ab.a[n - l] + ab.b[n - 1 - l]) * u[l]
-            other = w.B * u[n + 1] + w.c_expl * u[n] - w.inv_gamma1 * bracket
+            other = (
+                coeffs.B[n] * u[n + 1] + coeffs.c_expl[n] * u[n] - coeffs.inv_gamma1 * bracket
+            )
             assert abs(val - other) <= 1e-11 * (1 + abs(val))
 
 
@@ -489,15 +497,21 @@ def _check_telescoping():
 def _check_constant_zero_derivative():
     mesh = graded_mesh(2.0, 16, 3.0)
     soe = build_soe(0.5, 1e-10, *soe_interval(mesh))
+    coeffs = local_coefficients(mesh, 0.5, 0.0)
+    lam1, lam2, decay = lambda_tables(mesh, soe.exponents, 0.0)
+    nodes, hats = direct_quadrature(mesh)
     u = np.ones(17)
     hist = HistoryState(H=np.zeros((1, soe.n_exp)))
     allow = 10 * 1e-10 * (mesh.tau[1] / 2.0) ** (-1.5) / gamma_fn(0.5)
     for n in range(16):
-        w = step_weights(mesh, soe, 0.0, 0.5, n)
+        direct = 0.0
         if n >= 1:
-            history_advance(hist, u[n : n + 1], u[n - 1 : n], w, n)
-        assert abs(w.B + fast_caputo_explicit(u[: n + 1], hist.H[0], w, n)) <= allow
-        assert abs(w.B + direct_caputo_explicit(u[: n + 1], mesh, 0.0, 0.5, n)) <= 1e-10 * (
+            history_advance(hist, u[n : n + 1], u[n - 1 : n], lam1[n], lam2[n], decay[n], n)
+            a, b = direct_history_weights(nodes, hats, mesh.tbar[n], 0.0, 0.5, n)
+            direct = 0.5 * float(a @ u[1 : n + 1] + b @ u[:n])
+        fast = 0.5 * float(hist.H[0] @ soe.weights)
+        assert abs(coeffs.B[n] + explicit_part(coeffs, n, u[n], u[0], fast)) <= allow
+        assert abs(coeffs.B[n] + explicit_part(coeffs, n, u[n], u[0], direct)) <= 1e-10 * (
             mesh.tau[1] / 2.0
         ) ** (-1.5)
 

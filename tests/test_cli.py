@@ -199,3 +199,47 @@ class TestBench:
                 "--out", str(tmp_path / "x.csv"),
             ])
         assert err.value.code == 1
+
+
+class TestInvalidInput:
+    """An invalid config value is a usage error (exit 1, one line, no
+    traceback) and never starts a solve or the convergence pool."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("an invalid config reached the solver")
+
+        monkeypatch.setattr(cli, "run", refuse)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+
+    def _assert_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 1
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert len(stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--lambda", "nan"), ("--T", "inf"), ("--r", "nan"), ("--L", "inf")]
+    )
+    def test_non_finite_solve_flag(self, tmp_path, capsys, flag, value):
+        self._assert_usage_error([
+            "solve", "--case", "1", "--N", "8", "--M", "8", flag, value,
+            "--out", str(tmp_path / "x.csv"),
+        ], capsys)
+
+    def test_non_integer_step_count_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_list": [16.5]}))
+        self._assert_usage_error([
+            "solve", "--case", "1", "--config", str(cfg), "--M", "8",
+            "--out", str(tmp_path / "x.csv"),
+        ], capsys)
+
+    def test_convergence_checks_configs_before_the_pool(self, tmp_path, capsys):
+        self._assert_usage_error([
+            "convergence", "--case", "1", "--N", "8,16", "--M", "8", "--lambda", "nan",
+            "--method", "both", "--out", str(tmp_path / "x.csv"),
+        ], capsys)

@@ -6,20 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfade.mesh import graded_mesh, soe_interval
+from tfade.mesh import TemporalMesh, graded_mesh, soe_interval
 from tfade.operators import (
     HistoryState,
     ab_coeffs,
-    direct_caputo_explicit,
     direct_history_weights,
-    fast_caputo_explicit,
+    direct_quadrature,
+    explicit_part,
     history_advance,
     lambda_tables,
-    lambda_weights,
+    local_coefficients,
     oracle_caputo,
-    step_weights,
 )
+from tfade.problems import case
 from tfade.soe import gamma_fn, gauss_legendre
+from tfade.solver import SchemeConfig, run
 
 mpmath.mp.dps = 40
 
@@ -36,19 +37,45 @@ def quad_lambda_oracle(lam, s, tau_n, tau_np1):
     return float(np.sum(w * kern * u / tau_n)), float(np.sum(w * kern * (tau_n - u) / tau_n))
 
 
+def two_step_moments(lam, s, tau_n, tau_np1):
+    """Row 1 of `lambda_tables` on the mesh (0, tau_n, tau_n + tau_np1) for
+    the one exponent s: the moments of the interval [0, tau_n] seen from
+    the half level of the step tau_np1."""
+    t = np.array([0.0, tau_n, tau_n + tau_np1])
+    mesh = TemporalMesh(
+        T=float(t[-1]), N=2, r=1.0, t=t, tau=np.diff(t), tbar=0.5 * (t[:-1] + t[1:])
+    )
+    lam1, lam2, _ = lambda_tables(mesh, np.array([s], dtype=float), lam)
+    return float(lam1[1, 0]), float(lam2[1, 0])
+
+
+def fast_bracket(alpha, soe, hist):
+    """History bracket alpha sum_i omega_i H_i of the fast operator."""
+    return alpha * (hist.H @ soe.weights)
+
+
+def direct_bracket(mesh, lam, alpha, u, n):
+    """History bracket alpha sum_k a_k u^k + b_k u^{k-1} of the direct operator."""
+    if n == 0:
+        return 0.0
+    nodes, hats = direct_quadrature(mesh)
+    a, b = direct_history_weights(nodes, hats, mesh.tbar[n], lam, alpha, n)
+    return alpha * float(a @ u[1 : n + 1] + b @ u[:n])
+
+
 class TestLambdaWeights:
     def test_mu_zero_is_trapezoid(self):
-        assert lambda_weights(0.0, 0.0, 0.1, 0.2) == (0.05, 0.05)
+        assert two_step_moments(0.0, 0.0, 0.1, 0.2) == (0.05, 0.05)
 
     def test_sum_identity(self):
         lam, s, tau_n, tau_np1 = 1.0, 10.0, 0.1, 0.2
         mu = lam + s
-        l1, l2 = lambda_weights(lam, s, tau_n, tau_np1)
+        l1, l2 = two_step_moments(lam, s, tau_n, tau_np1)
         closed = math.exp(-mu * tau_np1 / 2.0) * (1.0 - math.exp(-mu * tau_n)) / mu
         assert math.isclose(l1 + l2, closed, rel_tol=1e-14)
 
     def test_against_quadrature(self):
-        l1, l2 = lambda_weights(1.0, 10.0, 0.1, 0.2)
+        l1, l2 = two_step_moments(1.0, 10.0, 0.1, 0.2)
         q1, q2 = quad_lambda_oracle(1.0, 10.0, 0.1, 0.2)
         assert math.isclose(l1, q1, rel_tol=1e-12)
         assert math.isclose(l2, q2, rel_tol=1e-12)
@@ -59,7 +86,7 @@ class TestLambdaWeights:
         for z in [1e-8, 1e-5, 1e-3, 5e-3, 0.05, 0.3, 0.4, 2.0, 40.0]:
             tau = 0.1
             mu = z / tau
-            l1, l2 = lambda_weights(0.0, mu, tau, tau)
+            l1, l2 = two_step_moments(0.0, mu, tau, tau)
             zm = mpmath.mpf(z)
             f1 = (mpmath.e**-zm - 1 + zm) / zm**2
             f2 = (1 - mpmath.e**-zm - zm * mpmath.e**-zm) / zm**2
@@ -75,67 +102,50 @@ class TestLambdaWeights:
         ratio=st.floats(1.0, 3.0),
     )
     def test_nonnegative(self, lam, s, tau_n, ratio):
-        l1, l2 = lambda_weights(lam, s, tau_n, ratio * tau_n)
+        l1, l2 = two_step_moments(lam, s, tau_n, ratio * tau_n)
         assert l1 >= 0.0 and l2 >= 0.0
 
 
-class TestStepWeights:
+class TestLocalCoefficients:
     def test_grouping_identity(self):
         # (1 - 2 alpha e) B == (1 - 2 e) B + e (tau/2)^-alpha / Gamma(1-alpha);
         # the two groupings must agree to 1e-13 relative to the coefficient
         # scale B (the combination itself suffers benign cancellation)
         mesh = graded_mesh(2.0, 64, 3.0)
         for alpha in (0.25, 0.5, 0.75):
+            coeffs = local_coefficients(mesh, alpha, LAM)
             for n in (0, 5, 10, 63):
                 tau = mesh.tau[n]
-                B = tau ** (-alpha) / (2 ** (1 - alpha) * gamma_fn(2 - alpha))
+                B = coeffs.B[n]
                 e = math.exp(-LAM * tau / 2.0)
-                lhs = (1 - 2 * alpha * e) * B
-                rhs = (1 - 2 * e) * B + e * (tau / 2.0) ** (-alpha) / gamma_fn(1 - alpha)
-                assert abs(lhs - rhs) <= 1e-13 * B
+                rhs = (1 - 2 * e) * B + e * (tau / 2.0) ** (-alpha) * coeffs.inv_gamma1
+                assert abs(coeffs.c_expl[n] - rhs) <= 1e-13 * B
 
     def test_closed_form_b(self):
         # alpha = 0.5, tau = 0.01, lam = 0
         mesh = graded_mesh(0.02, 2, 1.0)  # uniform steps of 0.01
-        w = step_weights(mesh, None, 0.0, 0.5, 0)
+        coeffs = local_coefficients(mesh, 0.5, 0.0)
         expected = 0.01 ** (-0.5) / (2**0.5 * (math.sqrt(math.pi) / 2.0))
-        assert math.isclose(w.B, expected, rel_tol=1e-14)
+        assert math.isclose(coeffs.B[0], expected, rel_tol=1e-14)
 
-    def test_n0_reduction(self, soe_cache):
+    def test_n0_reduction(self):
         # at n = 0 the boundary term cancels the history opening exactly and
         # the operator is B [u1 + (1 - 2 e^{-lam tau1/2}) u0]
         mesh = graded_mesh(2.0, 8, 3.0)
-        soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
-        w = step_weights(mesh, soe, LAM, ALPHA, 0)
+        coeffs = local_coefficients(mesh, ALPHA, LAM)
         u0, u1 = 0.7, -0.3
-        e = fast_caputo_explicit(np.array([u0]), np.zeros(soe.n_exp), w, 0)
-        full = w.B * u1 + e
-        expected = w.B * (u1 + (1 - 2 * math.exp(-LAM * mesh.tau[0] / 2.0)) * u0)
+        full = coeffs.B[0] * u1 + explicit_part(coeffs, 0, u0, u0, 0.0)
+        expected = coeffs.B[0] * (u1 + (1 - 2 * math.exp(-LAM * mesh.tau[0] / 2.0)) * u0)
         assert math.isclose(full, expected, rel_tol=1e-12)
-
-    def test_step_index_validation(self):
-        mesh = graded_mesh(2.0, 8, 3.0)
-        with pytest.raises(ValueError):
-            step_weights(mesh, None, LAM, ALPHA, 8)
-
-    def test_lambda_tables_match(self, soe_cache):
-        mesh = graded_mesh(2.0, 16, 3.0)
-        soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
-        l1t, l2t, dt = lambda_tables(mesh, soe, LAM)
-        for n in (1, 7, 15):
-            w = step_weights(mesh, soe, LAM, ALPHA, n)
-            assert np.array_equal(w.lam1, l1t[n])
-            assert np.array_equal(w.lam2, l2t[n])
-            assert np.array_equal(w.decay, dt[n])
 
 
 class TestHistoryAdvance:
     def test_zero_data(self, soe_cache):
         mesh = graded_mesh(2.0, 8, 3.0)
         soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
+        lam1, lam2, decay = lambda_tables(mesh, soe.exponents, LAM)
         h = HistoryState(H=np.zeros((3, soe.n_exp)))
-        w = step_weights(mesh, soe, LAM, ALPHA, 1)
-        history_advance(h, np.zeros(3), np.zeros(3), w, 1)
+        history_advance(h, np.zeros(3), np.zeros(3), lam1[1], lam2[1], decay[1], 1)
         assert np.all(h.H == 0.0)
         assert h.n_last == 1
 
@@ -145,45 +155,37 @@ class TestHistoryAdvance:
         h = HistoryState(H=np.zeros((1, 1)))
         u = np.linspace(0.3, 1.7, 9)
         for n in range(1, 8):
-            w = step_weights(mesh, None, 0.0, ALPHA, n)
-            w = type(w)(
-                n=n, alpha=ALPHA, lam=0.0,
-                lam1=np.array([mesh.tau[n - 1] / 2.0]),
-                lam2=np.array([mesh.tau[n - 1] / 2.0]),
-                decay=np.array([1.0]), B=w.B, c_expl=w.c_expl, bndry=w.bndry,
-                omega=np.array([1.0]), inv_gamma1=w.inv_gamma1,
-            )
-            history_advance(h, u[n : n + 1], u[n - 1 : n], w, n)
+            half = np.array([mesh.tau[n - 1] / 2.0])
+            history_advance(h, u[n : n + 1], u[n - 1 : n], half, half, np.ones(1), n)
         trapezoid = float(np.sum(0.5 * mesh.tau[:7] * (u[1:8] + u[:7])))
         assert math.isclose(h.H[0, 0], trapezoid, rel_tol=1e-14)
 
     def test_unrolled_sum_oracle(self, soe_cache):
         mesh = graded_mesh(2.0, 12, 3.0)
         soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
+        lam1, lam2, decay = lambda_tables(mesh, soe.exponents, LAM)
         rng = np.random.default_rng(3)
         u = rng.standard_normal(13)
         h = HistoryState(H=np.zeros((1, soe.n_exp)))
         mu = LAM + soe.exponents
         for n in range(1, 12):
-            w = step_weights(mesh, soe, LAM, ALPHA, n)
-            history_advance(h, u[n : n + 1], u[n - 1 : n], w, n)
+            history_advance(h, u[n : n + 1], u[n - 1 : n], lam1[n], lam2[n], decay[n], n)
             unrolled = np.zeros(soe.n_exp)
             for k in range(1, n + 1):
-                wk = step_weights(mesh, soe, LAM, ALPHA, k)
                 shift = np.exp(-np.minimum(mu * (mesh.tbar[n] - mesh.tbar[k]), 700.0))
-                unrolled += shift * (wk.lam1 * u[k] + wk.lam2 * u[k - 1])
+                unrolled += shift * (lam1[k] * u[k] + lam2[k] * u[k - 1])
             scale = np.max(np.abs(unrolled)) or 1.0
             assert np.max(np.abs(h.H[0] - unrolled)) <= 1e-12 * scale
 
     def test_step_order_violation(self, soe_cache):
         mesh = graded_mesh(2.0, 8, 3.0)
         soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
+        lam1, lam2, decay = lambda_tables(mesh, soe.exponents, LAM)
         h = HistoryState(H=np.zeros((1, soe.n_exp)))
-        w = step_weights(mesh, soe, LAM, ALPHA, 2)
         with pytest.raises(ValueError):
-            history_advance(h, np.ones(1), np.ones(1), w, 2)
+            history_advance(h, np.ones(1), np.ones(1), lam1[2], lam2[2], decay[2], 2)
         with pytest.raises(ValueError):
-            history_advance(h, np.ones(1), np.ones(1), w, 0)
+            history_advance(h, np.ones(1), np.ones(1), lam1[0], lam2[0], decay[0], 0)
 
 
 class TestABCoeffs:
@@ -192,9 +194,9 @@ class TestABCoeffs:
         soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
         ab = ab_coeffs(mesh, soe, LAM, ALPHA, 1)
         assert len(ab.a) == 1 and len(ab.b) == 1
-        w = step_weights(mesh, soe, LAM, ALPHA, 1)
+        lam1, _, _ = lambda_tables(mesh, soe.exponents, LAM)
         assert math.isclose(
-            ab.a[0], ALPHA * float(soe.weights @ w.lam1), rel_tol=1e-13
+            ab.a[0], ALPHA * float(soe.weights @ lam1[1]), rel_tol=1e-13
         )
 
     def test_positivity(self, soe_cache):
@@ -226,20 +228,25 @@ class TestABCoeffs:
         n_steps = 32
         mesh = graded_mesh(2.0, n_steps, 3.0)
         soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
+        coeffs = local_coefficients(mesh, ALPHA, LAM)
+        lam1, lam2, decay = lambda_tables(mesh, soe.exponents, LAM)
         rng = np.random.default_rng(7)
         u = rng.standard_normal(n_steps + 1)
         h = HistoryState(H=np.zeros((1, soe.n_exp)))
         for n in range(n_steps):
-            w = step_weights(mesh, soe, LAM, ALPHA, n)
             if n >= 1:
-                history_advance(h, u[n : n + 1], u[n - 1 : n], w, n)
-            val_rec = w.B * u[n + 1] + fast_caputo_explicit(u[: n + 1], h.H[0], w, n)
+                history_advance(h, u[n : n + 1], u[n - 1 : n], lam1[n], lam2[n], decay[n], n)
+            hist = fast_bracket(ALPHA, soe, h)[0]
+            val_rec = coeffs.B[n] * u[n + 1] + explicit_part(coeffs, n, u[n], u[0], hist)
             if n >= 1:
                 ab = ab_coeffs(mesh, soe, LAM, ALPHA, n)
-                bracket = ab.a[0] * u[n] + (ab.b[n - 1] + w.bndry) * u[0]
+                bracket = ab.a[0] * u[n] + (ab.b[n - 1] + coeffs.bndry[n]) * u[0]
                 for l in range(1, n):
                     bracket += (ab.a[n - l] + ab.b[n - 1 - l]) * u[l]
-                val_ab = w.B * u[n + 1] + w.c_expl * u[n] - w.inv_gamma1 * bracket
+                val_ab = (
+                    coeffs.B[n] * u[n + 1] + coeffs.c_expl[n] * u[n]
+                    - coeffs.inv_gamma1 * bracket
+                )
             else:
                 val_ab = val_rec
             assert abs(val_rec - val_ab) <= 1e-11 * (1.0 + abs(val_rec))
@@ -250,16 +257,24 @@ class TestABCoeffs:
         with pytest.raises(ValueError):
             ab_coeffs(mesh, soe, LAM, ALPHA, 0)
 
+    def test_step_index_validation(self, soe_cache):
+        mesh = graded_mesh(2.0, 8, 3.0)
+        soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
+        with pytest.raises(ValueError):
+            ab_coeffs(mesh, soe, LAM, ALPHA, 8)
+
 
 def _march_operator(mesh, soe, lam, alpha, u):
     """Operator values B u^{n+1} + E at every half level, recurrence path."""
+    coeffs = local_coefficients(mesh, alpha, lam)
+    lam1, lam2, decay = lambda_tables(mesh, soe.exponents, lam)
     h = HistoryState(H=np.zeros((1, soe.n_exp)))
     vals = np.empty(mesh.N)
     for n in range(mesh.N):
-        w = step_weights(mesh, soe, lam, alpha, n)
         if n >= 1:
-            history_advance(h, u[n : n + 1], u[n - 1 : n], w, n)
-        vals[n] = w.B * u[n + 1] + fast_caputo_explicit(u[: n + 1], h.H[0], w, n)
+            history_advance(h, u[n : n + 1], u[n - 1 : n], lam1[n], lam2[n], decay[n], n)
+        hist = fast_bracket(alpha, soe, h)[0]
+        vals[n] = coeffs.B[n] * u[n + 1] + explicit_part(coeffs, n, u[n], u[0], hist)
     return vals
 
 
@@ -292,7 +307,7 @@ class TestFastOperator:
         # uniform-in-N envelope constant: varies by less than 3x across N
         assert max(env_consts) / min(env_consts) < 3.0
 
-    def test_initial_step_true_rate(self, soe_cache):
+    def test_initial_step_true_rate(self):
         # the n = 0 error decays like N^{-r(delta-alpha)}; see the decisions
         # ledger for why this differs from the r(delta+1-alpha) guess probed
         # (and expected to fail) in the acceptance suite
@@ -301,10 +316,9 @@ class TestFastOperator:
         ns = (16, 32, 64, 128)
         for n_steps in ns:
             mesh = graded_mesh(2.0, n_steps, 3.0)
-            soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
+            coeffs = local_coefficients(mesh, ALPHA, LAM)
             u = np.exp(-LAM * mesh.t) * mesh.t**DELTA
-            w = step_weights(mesh, soe, LAM, ALPHA, 0)
-            val = w.B * u[1] + fast_caputo_explicit(u[:1], np.zeros(soe.n_exp), w, 0)
+            val = coeffs.B[0] * u[1] + explicit_part(coeffs, 0, u[0], u[0], 0.0)
             exact = math.exp(-LAM * mesh.tbar[0]) * gq * mesh.tbar[0] ** (DELTA - ALPHA)
             errs.append(abs(val - exact))
         slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
@@ -313,22 +327,24 @@ class TestFastOperator:
 
 
 class TestDirectOperator:
-    def test_n0_matches_fast(self, soe_cache):
-        mesh = graded_mesh(2.0, 8, 3.0)
-        soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
-        w = step_weights(mesh, soe, LAM, ALPHA, 0)
-        u = np.array([0.37])
-        e_fast = fast_caputo_explicit(u, np.zeros(soe.n_exp), w, 0)
-        e_direct = direct_caputo_explicit(u, mesh, LAM, ALPHA, 0)
-        assert e_fast == e_direct
+    def test_n0_matches_fast(self):
+        # step 0 has no history term, so both methods march their first
+        # level through the identical arithmetic
+        mc = case(1, ALPHA, LAM)
+        levels = [
+            run(SchemeConfig(alpha=ALPHA, lam=LAM, M=16, N=8, method=method), mc).snapshots[1]
+            for method in ("fast", "direct")
+        ]
+        assert np.array_equal(levels[0], levels[1])
 
     def test_constant_lam_zero(self):
         mesh = graded_mesh(2.0, 16, 3.0)
+        coeffs = local_coefficients(mesh, ALPHA, 0.0)
         u = np.ones(17)
         scale = (mesh.tau[1] / 2.0) ** (-1.0 - ALPHA) / gamma_fn(1 - ALPHA)
         for n in range(16):
-            w = step_weights(mesh, None, 0.0, ALPHA, n)
-            val = w.B * 1.0 + direct_caputo_explicit(u[: n + 1], mesh, 0.0, ALPHA, n)
+            hist = direct_bracket(mesh, 0.0, ALPHA, u, n)
+            val = coeffs.B[n] * 1.0 + explicit_part(coeffs, n, u[n], u[0], hist)
             assert abs(val) <= 1e-10 * scale
 
     def test_fast_within_soe_budget(self, soe_cache):
@@ -336,6 +352,8 @@ class TestDirectOperator:
         eps = 1e-10
         mesh = graded_mesh(2.0, 32, 3.0)
         soe = soe_cache(ALPHA, eps, *soe_interval(mesh))
+        coeffs = local_coefficients(mesh, ALPHA, LAM)
+        lam1, lam2, decay = lambda_tables(mesh, soe.exponents, LAM)
         u = np.exp(-LAM * mesh.t) * (mesh.t**DELTA + 1.0) * 0.0625
         allow = (
             10 * eps * math.exp(LAM * 2.0) * float(np.max(np.abs(u))) * 2.0
@@ -343,19 +361,42 @@ class TestDirectOperator:
         )
         h = HistoryState(H=np.zeros((1, soe.n_exp)))
         for n in range(32):
-            w = step_weights(mesh, soe, LAM, ALPHA, n)
             if n >= 1:
-                history_advance(h, u[n : n + 1], u[n - 1 : n], w, n)
-            e_fast = fast_caputo_explicit(u[: n + 1], h.H[0], w, n)
-            e_direct = direct_caputo_explicit(u[: n + 1], mesh, LAM, ALPHA, n)
+                history_advance(h, u[n : n + 1], u[n - 1 : n], lam1[n], lam2[n], decay[n], n)
+            e_fast = explicit_part(coeffs, n, u[n], u[0], fast_bracket(ALPHA, soe, h)[0])
+            e_direct = explicit_part(
+                coeffs, n, u[n], u[0], direct_bracket(mesh, LAM, ALPHA, u, n)
+            )
             assert abs(e_fast - e_direct) <= allow
 
     def test_weights_nonnegative(self):
         mesh = graded_mesh(2.0, 16, 3.0)
+        nodes, hats = direct_quadrature(mesh)
         for n in (1, 5, 15):
-            a, b = direct_history_weights(mesh, LAM, ALPHA, n)
+            a, b = direct_history_weights(nodes, hats, mesh.tbar[n], LAM, ALPHA, n)
             assert np.all(a >= 0) and np.all(b >= 0)
             assert len(a) == n and len(b) == n
+
+    @pytest.mark.parametrize("n", [1, 10, 63])
+    def test_weights_against_mpmath(self, n):
+        # each of a and b on its own against adaptive high-precision
+        # quadrature: a swap of the right and left hats fails here, while
+        # the constant-function checks only see a + b
+        mesh = graded_mesh(2.0, 64, 3.0)
+        nodes, hats = direct_quadrature(mesh)
+        a, b = direct_history_weights(nodes, hats, mesh.tbar[n], LAM, ALPHA, n)
+        tbar_n = mpmath.mpf(float(mesh.tbar[n]))
+        for k in sorted({1, (n + 1) // 2, n}):
+            t0, t1 = mpmath.mpf(float(mesh.t[k - 1])), mpmath.mpf(float(mesh.t[k]))
+
+            def kern(s):
+                v = tbar_n - s
+                return mpmath.exp(-LAM * v) * v ** (-1 - ALPHA)
+
+            ref_a = mpmath.quad(lambda s: kern(s) * (s - t0) / (t1 - t0), [t0, t1])
+            ref_b = mpmath.quad(lambda s: kern(s) * (t1 - s) / (t1 - t0), [t0, t1])
+            assert math.isclose(a[k - 1], float(ref_a), rel_tol=1e-12), (n, k)
+            assert math.isclose(b[k - 1], float(ref_b), rel_tol=1e-12), (n, k)
 
 
 class TestOracleCaputo:

@@ -8,10 +8,19 @@ from hypothesis import strategies as st
 
 import tfade.solver as solver_mod
 from tfade.mesh import graded_mesh, soe_interval, uniform_grid
-from tfade.operators import ab_coeffs, step_weights
+from tfade.operators import (
+    HistoryState,
+    ab_coeffs,
+    direct_history_weights,
+    direct_quadrature,
+    explicit_part,
+    history_advance,
+    lambda_tables,
+    local_coefficients,
+)
 from tfade.problems import case, l2_norm
+from tfade.soe import build_soe
 from tfade.solver import (
-    MarchState,
     SchemeConfig,
     SolveError,
     TridiagonalSystem,
@@ -38,6 +47,38 @@ class TestConfig:
             SchemeConfig(alpha=0.5, lam=1.0, M=8, N=8, r=0.5)
         with pytest.raises(ValueError):
             SchemeConfig(alpha=0.5, lam=1.0, M=8, N=8, method="magic")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("lam", math.nan), ("L", math.inf), ("T", math.inf), ("r", math.nan),
+         ("alpha", -math.inf), ("epsilon", math.nan), ("M", 8.5), ("N", 16.0),
+         ("N", True)],
+    )
+    def test_bad_field_named(self, field, value):
+        good = dict(alpha=0.5, lam=1.0, M=8, N=16)
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            SchemeConfig(**{**good, field: value})
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_one_bad_field_rejected(self, data):
+        non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+        bad = {
+            "alpha": st.one_of(non_finite, st.floats(max_value=0.0), st.floats(min_value=1.0)),
+            "lam": st.one_of(non_finite, st.floats(max_value=0.0, exclude_max=True)),
+            "T": st.one_of(non_finite, st.floats(max_value=0.0)),
+            "L": st.one_of(non_finite, st.floats(max_value=0.0)),
+            "r": st.one_of(non_finite, st.floats(max_value=1.0, exclude_max=True)),
+            "epsilon": st.one_of(non_finite, st.floats(max_value=0.0)),
+            "M": st.one_of(st.integers(max_value=1), st.floats(), st.booleans()),
+            "N": st.one_of(st.integers(max_value=1), st.floats(), st.booleans()),
+            "method": st.text().filter(lambda m: m not in ("fast", "direct")),
+        }
+        field = data.draw(st.sampled_from(sorted(bad)))
+        value = data.draw(bad[field])
+        good = dict(alpha=0.5, lam=1.0, M=8, N=16, T=2.0, L=1.0, r=3.0, epsilon=1e-10)
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            SchemeConfig(**{**good, field: value})
 
     def test_large_step_warns_but_proceeds(self):
         # tau_max^(2-2 alpha) >= 1/3 is only a sufficient condition
@@ -73,20 +114,17 @@ class TestThomas:
         got = thomas_solve(TridiagonalSystem(lower, diag, upper, rhs))
         assert np.max(np.abs(got - expected)) <= 1e-12 * (1 + np.max(np.abs(expected)))
 
-    def test_actual_step_matrix_residual(self, soe_cache):
+    def test_actual_step_matrix_residual(self):
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=40, N=16)
         mc = case(1, 0.5)
         mesh = graded_mesh(cfg.T, cfg.N, cfg.r)
         grid = uniform_grid(cfg.L, cfg.M)
-        soe = soe_cache(0.5, 1e-10, *soe_interval(mesh))
-        levels = np.zeros((cfg.N + 1, cfg.M - 1))
-        levels[0] = mc.phi(grid.x_interior)
-        state = MarchState(config=cfg, mesh=mesh, grid=grid, levels=levels, soe=soe)
-        from tfade.operators import HistoryState
-
-        state.hist = HistoryState(H=np.zeros((cfg.M - 1, soe.n_exp)))
-        w = step_weights(mesh, soe, cfg.lam, cfg.alpha, 0)
-        sys_ = assemble_step(state, w, mc.forcing(grid.x_interior, mesh.tbar[0]), 0)
+        coeffs = local_coefficients(mesh, cfg.alpha, cfg.lam)
+        u0 = mc.phi(grid.x_interior)
+        E = explicit_part(coeffs, 0, u0, u0, 0.0)
+        sys_ = assemble_step(
+            grid.h, mesh.tau[0], coeffs.B[0], u0, E, mc.forcing(grid.x_interior, mesh.tbar[0])
+        )
         x = thomas_solve(sys_)
         resid = (
             sys_.diag * x
@@ -105,53 +143,44 @@ class TestThomas:
             thomas_solve(sys_)
 
 
-def _blank_state(cfg: SchemeConfig) -> MarchState:
+def _step0_system(cfg: SchemeConfig, u0: np.ndarray, f_bar: np.ndarray):
+    """The step-0 system of ``cfg`` from the initial interior values u0."""
     mesh = graded_mesh(cfg.T, cfg.N, cfg.r)
     grid = uniform_grid(cfg.L, cfg.M)
-    levels = np.zeros((cfg.N + 1, cfg.M - 1))
-    return MarchState(config=cfg, mesh=mesh, grid=grid, levels=levels)
+    coeffs = local_coefficients(mesh, cfg.alpha, cfg.lam)
+    E = explicit_part(coeffs, 0, u0, u0, 0.0)
+    return assemble_step(grid.h, mesh.tau[0], coeffs.B[0], u0, E, f_bar), mesh, grid, coeffs
 
 
 class TestAssemble:
     def test_zero_history_zero_forcing(self):
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=8, N=8, method="direct")
-        state = _blank_state(cfg)
-        state.quad_s, state.quad_w1, state.quad_ratio = solver_mod._direct_tables(state.mesh)
-        w = step_weights(state.mesh, None, cfg.lam, cfg.alpha, 0)
-        sys_ = assemble_step(state, w, np.zeros(cfg.M - 1), 0)
+        sys_, *_ = _step0_system(cfg, np.zeros(cfg.M - 1), np.zeros(cfg.M - 1))
         assert np.all(sys_.rhs == 0.0)
 
     def test_single_interior_unknown_hand_formula(self):
         # M = 3: two boundary points, two interior unknowns collapse the
         # scheme to a 2x2 system; check row 0 against the hand formula
         cfg = SchemeConfig(alpha=0.5, lam=0.0, M=3, N=4, r=1.0, T=1.0, method="direct")
-        state = _blank_state(cfg)
-        state.quad_s, state.quad_w1, state.quad_ratio = solver_mod._direct_tables(state.mesh)
         u0 = np.array([0.2, -0.1])
-        state.levels[0] = u0
-        w = step_weights(state.mesh, None, cfg.lam, cfg.alpha, 0)
         f_bar = np.array([1.0, 2.0])
-        sys_ = assemble_step(state, w, f_bar, 0)
-        h = state.grid.h
-        tau = state.mesh.tau[0]
+        sys_, mesh, grid, coeffs = _step0_system(cfg, u0, f_bar)
+        h = grid.h
+        tau = mesh.tau[0]
         # rhs_0 = u0_0/tau + ((u0_1 - 2u0_0)/h^2 - u0_1/(2h))/2 - E_0 + f_0
-        e0 = w.c_expl * u0[0] - w.inv_gamma1 * w.bndry * u0[0]
+        e0 = coeffs.c_expl[0] * u0[0] - coeffs.inv_gamma1 * coeffs.bndry[0] * u0[0]
         expected = (
             u0[0] / tau
             + 0.5 * ((u0[1] - 2 * u0[0]) / h**2 - u0[1] / (2 * h))
             - e0 + f_bar[0]
         )
         assert math.isclose(sys_.rhs[0], expected, rel_tol=1e-14)
-        assert math.isclose(sys_.diag[0], 1 / tau + w.B + 1 / h**2, rel_tol=0)
+        assert math.isclose(sys_.diag[0], 1 / tau + coeffs.B[0] + 1 / h**2, rel_tol=0)
 
     def test_lhs_eigenvalues_against_dense(self):
         # eigenvalues eta + 1/h^2 + 2 sqrt(ul) cos(k pi / M) >= eta > 0
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=8, N=8, method="direct")
-        state = _blank_state(cfg)
-        mesh, grid = state.mesh, state.grid
-        state.quad_s, state.quad_w1, state.quad_ratio = solver_mod._direct_tables(mesh)
-        w = step_weights(mesh, None, cfg.lam, cfg.alpha, 0)
-        sys_ = assemble_step(state, w, np.zeros(cfg.M - 1), 0)
+        sys_, mesh, grid, coeffs = _step0_system(cfg, np.zeros(cfg.M - 1), np.zeros(cfg.M - 1))
         dense = (
             np.diag(sys_.diag)
             + np.diag(sys_.lower[1:], -1)
@@ -159,7 +188,7 @@ class TestAssemble:
         )
         eigs = np.sort(np.linalg.eigvals(dense).real)
         h = grid.h
-        eta = 1.0 / mesh.tau[0] + w.B
+        eta = 1.0 / mesh.tau[0] + coeffs.B[0]
         k = np.arange(1, cfg.M)
         formula = np.sort(
             eta + 1.0 / h**2
@@ -176,21 +205,19 @@ class TestAssemble:
         mesh = graded_mesh(cfg.T, cfg.N, cfg.r)
         grid = uniform_grid(cfg.L, cfg.M)
         soe = soe_cache(0.5, 1e-10, *soe_interval(mesh))
+        coeffs = local_coefficients(mesh, cfg.alpha, cfg.lam)
+        lam1, lam2, decay = lambda_tables(mesh, soe.exponents, cfg.lam)
         mc = case(1, 0.5)
         traj = run(cfg, mc)
-        from tfade.operators import HistoryState, history_advance
-
         levels = np.stack([traj.snapshots[k] for k in range(cfg.N + 1)])
-        state = MarchState(config=cfg, mesh=mesh, grid=grid, levels=levels, soe=soe)
-        state.hist = HistoryState(H=np.zeros((cfg.M - 1, soe.n_exp)))
+        hist = HistoryState(H=np.zeros((cfg.M - 1, soe.n_exp)))
         xi = grid.x_interior
         h = grid.h
-        g1 = w_prev = None
         for n in range(1, cfg.N):
-            w = step_weights(mesh, soe, cfg.lam, cfg.alpha, n)
-            history_advance(state.hist, levels[n], levels[n - 1], w, n)
+            history_advance(hist, levels[n], levels[n - 1], lam1[n], lam2[n], decay[n], n)
             f_bar = mc.forcing(xi, mesh.tbar[n])
-            rhs_a = assemble_step(state, w, f_bar, n).rhs.copy()
+            E = explicit_part(coeffs, n, levels[n], levels[0], cfg.alpha * (hist.H @ soe.weights))
+            rhs_a = assemble_step(h, mesh.tau[n], coeffs.B[n], levels[n], E, f_bar).rhs.copy()
             # regrouped route
             ab = ab_coeffs(mesh, soe, cfg.lam, cfg.alpha, n)
             tau = mesh.tau[n]
@@ -198,15 +225,15 @@ class TestAssemble:
             pad = np.concatenate(([0.0], levels[n], [0.0]))
             up, dn = pad[2:], pad[:-2]
             bracket = (ab.a[0] - e * (tau / 2.0) ** (-cfg.alpha)) * levels[n] + (
-                ab.b[n - 1] + w.bndry
+                ab.b[n - 1] + coeffs.bndry[n]
             ) * levels[0]
             for l in range(1, n):
                 bracket += (ab.a[n - l] + ab.b[n - 1 - l]) * levels[l]
             rhs_b = (
                 up * (0.5 / h**2 - 1 / (4 * h))
                 + dn * (0.5 / h**2 + 1 / (4 * h))
-                + levels[n] * (1.0 / tau - (1 - 2 * e) * w.B - 1.0 / h**2)
-                + w.inv_gamma1 * bracket
+                + levels[n] * (1.0 / tau - (1 - 2 * e) * coeffs.B[n] - 1.0 / h**2)
+                + coeffs.inv_gamma1 * bracket
                 + f_bar
             )
             scale = np.max(np.abs(rhs_a)) or 1.0
@@ -235,46 +262,38 @@ class TestRun:
             run(cfg, (lambda x: np.zeros_like(x), bad_forcing))
         assert err.value.step is not None
 
-    def test_jit_matches_python_reference(self, monkeypatch):
-        if not solver_mod.HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        mc = case(1, 0.25)
-        cfg = SchemeConfig(alpha=0.25, lam=1.0, M=24, N=24, method="direct")
-        traj_jit = run(cfg, mc)
-        monkeypatch.setattr(solver_mod, "HAVE_NUMBA", False)
-        traj_py = run(cfg, mc)
-        for n in range(25):
-            assert np.allclose(
-                traj_jit.snapshots[n], traj_py.snapshots[n], rtol=1e-12, atol=1e-15
-            )
-
     @pytest.mark.parametrize("method", ["direct", "fast"])
-    def test_numpy_march_matches_step_reference(self, monkeypatch, method):
-        # run's NumPy march folds the per-step coefficients into per-run
-        # tables; rebuild every level from step_weights + assemble_step and a
-        # dense solve instead
-        monkeypatch.setattr(solver_mod, "HAVE_NUMBA", False)
+    def test_numpy_march_matches_step_reference(self, method):
+        # run's march folds the per-step coefficients into per-run tables;
+        # rebuild every level from explicit_part + assemble_step and a dense
+        # solve instead
         mc = case(1, 0.25)
         cfg = SchemeConfig(alpha=0.25, lam=1.0, M=24, N=24, method=method)
         traj = run(cfg, mc)
         mesh = graded_mesh(cfg.T, cfg.N, cfg.r)
         grid = uniform_grid(cfg.L, cfg.M)
+        coeffs = local_coefficients(mesh, cfg.alpha, cfg.lam)
         levels = np.zeros((cfg.N + 1, cfg.M - 1))
         levels[0] = mc.phi(grid.x_interior)
-        state = MarchState(config=cfg, mesh=mesh, grid=grid, levels=levels)
         if method == "fast":
-            from tfade.operators import HistoryState, history_advance
-            from tfade.soe import build_soe
-
-            state.soe = build_soe(cfg.alpha, cfg.epsilon, *soe_interval(mesh))
-            state.hist = HistoryState(H=np.zeros((cfg.M - 1, state.soe.n_exp)))
+            soe = build_soe(cfg.alpha, cfg.epsilon, *soe_interval(mesh))
+            lam1, lam2, decay = lambda_tables(mesh, soe.exponents, cfg.lam)
+            state = HistoryState(H=np.zeros((cfg.M - 1, soe.n_exp)))
         else:
-            state.quad_s, state.quad_w1, state.quad_ratio = solver_mod._direct_tables(mesh)
+            nodes, hats = direct_quadrature(mesh)
         for n in range(cfg.N):
-            w = step_weights(mesh, state.soe, cfg.lam, cfg.alpha, n)
+            hist = 0.0
             if method == "fast" and n >= 1:
-                history_advance(state.hist, levels[n], levels[n - 1], w, n)
-            sys_ = assemble_step(state, w, mc.forcing(grid.x_interior, mesh.tbar[n]), n)
+                history_advance(state, levels[n], levels[n - 1], lam1[n], lam2[n], decay[n], n)
+                hist = cfg.alpha * (state.H @ soe.weights)
+            elif n >= 1:
+                a, b = direct_history_weights(nodes, hats, mesh.tbar[n], cfg.lam, cfg.alpha, n)
+                hist = cfg.alpha * (a @ levels[1 : n + 1] + b @ levels[:n])
+            E = explicit_part(coeffs, n, levels[n], levels[0], hist)
+            sys_ = assemble_step(
+                grid.h, mesh.tau[n], coeffs.B[n], levels[n], E,
+                mc.forcing(grid.x_interior, mesh.tbar[n]),
+            )
             dense = (
                 np.diag(sys_.diag)
                 + np.diag(sys_.lower[1:], -1)
@@ -316,10 +335,9 @@ class TestRun:
         # count grows linearly (the structural form of the cost claims)
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=16, N=16)
         mesh = graded_mesh(cfg.T, cfg.N, cfg.r)
-        from tfade.operators import direct_history_weights
-
-        a5, _ = direct_history_weights(mesh, 1.0, 0.5, 5)
-        a10, _ = direct_history_weights(mesh, 1.0, 0.5, 10)
+        nodes, hats = direct_quadrature(mesh)
+        a5, _ = direct_history_weights(nodes, hats, mesh.tbar[5], 1.0, 0.5, 5)
+        a10, _ = direct_history_weights(nodes, hats, mesh.tbar[10], 1.0, 0.5, 10)
         assert len(a5) == 5 and len(a10) == 10
         traj = run(cfg, case(1, 0.5))
         assert traj.n_exp_used == run(cfg, case(1, 0.5)).n_exp_used
