@@ -19,8 +19,10 @@ import json
 import os
 import sys
 import time
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -151,6 +153,35 @@ def _build_parser() -> _Parser:
 
 
 _SPEC_DEFAULTS = RunSpec(command="-")
+_SPEC_TYPES = typing.get_type_hints(RunSpec)
+
+
+def _fits(value, annotation) -> bool:
+    """Whether a config-file value fits a RunSpec field's annotation.
+
+    A float field also takes an int, a list field must hold ints, and a
+    JSON true/false is never a number.
+    """
+    if isinstance(annotation, types.UnionType):
+        return any(_fits(value, arg) for arg in annotation.__args__)
+    if annotation is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return False
+    if annotation is float:
+        return isinstance(value, (int, float))
+    if typing.get_origin(annotation) is list:
+        return isinstance(value, list) and all(_fits(v, int) for v in value)
+    return isinstance(value, annotation)
+
+
+def _check_file_values(path: str, file_values: dict) -> None:
+    """Reject a config-file value whose type does not fit its RunSpec field."""
+    for f in fields(RunSpec):
+        if f.name != "command" and f.name in file_values:
+            value = file_values[f.name]
+            if not _fits(value, _SPEC_TYPES[f.name]):
+                raise _usage_error(f"config {path}: {f.name} must be {f.type}, got {value!r}")
 
 
 def _resolve_spec(args: argparse.Namespace) -> RunSpec:
@@ -164,6 +195,7 @@ def _resolve_spec(args: argparse.Namespace) -> RunSpec:
             raise _usage_error(f"cannot read config {args.config}: {exc}")
         if not isinstance(file_values, dict):
             raise _usage_error(f"config {args.config} must hold a JSON object")
+        _check_file_values(args.config, file_values)
     spec = RunSpec(command=args.command)
     defaulted = set()
     for name in vars(spec):

@@ -47,6 +47,7 @@ __all__ = [
     "explicit_part",
     "history_advance",
     "lambda_tables",
+    "live_exponents",
     "local_coefficients",
     "oracle_caputo",
 ]
@@ -62,6 +63,9 @@ _SERIES_TERMS = 18
 # and letting it linger near the subnormal range makes every later pass over
 # the history table an order of magnitude slower
 _EXP_FLUSH = 345.0
+# elements per block of the (rows x n_exp) moment tables: three 512 KB
+# blocks and the intermediates of one stay within a few MB
+TABLE_BLOCK = 65_536
 
 
 def _exp_neg(x):
@@ -96,9 +100,9 @@ def _phi_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lambda_tables(
-    mesh: TemporalMesh, exponents: np.ndarray, lam: float
+    mesh: TemporalMesh, exponents: np.ndarray, lam: float, lo: int = 0, hi: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All per-step interpolation moments and decays as (N, n_exp) tables.
+    """Per-step interpolation moments and decays, rows [lo, hi) of (N, n_exp) tables.
 
     Row n >= 1 holds, for mu = lam + s_i, z = mu tau_n and zp = mu tau_{n+1}/2,
 
@@ -109,26 +113,55 @@ def lambda_tables(
     int_{t_{n-1}}^{t_n} exp(-mu (tbar_n - u)) L1u(u) du (mu = 0 gives the
     trapezoid tau_n/2, tau_n/2), and the tbar_{n-1} -> tbar_n decay
     exp(-mu (tau_n + tau_{n+1})/2) used when advancing the history into
-    step n.  Row 0 is unused (zero moments, unit decay).
+    step n.  Row 0 is unused (zero moments, unit decay).  The default range
+    is the whole table; a sub-range returns the same rows bit for bit, and
+    so does a prefix of ``exponents`` for the matching columns.
     """
-    n_steps = mesh.N
-    lam1 = np.zeros((n_steps, len(exponents)))
-    lam2 = np.zeros((n_steps, len(exponents)))
-    decay = np.ones((n_steps, len(exponents)))
+    hi = mesh.N if hi is None else hi
+    if not 0 <= lo <= hi <= mesh.N:
+        raise ValueError(f"need 0 <= lo <= hi <= {mesh.N}, got lo={lo}, hi={hi}")
+    shape = (hi - lo, len(exponents))
+    lam1 = np.zeros(shape)
+    lam2 = np.zeros(shape)
+    decay = np.ones(shape)
     mu = lam + exponents
-    # chunked over rows to keep the (rows x n_exp) intermediates cache-friendly
-    chunk = max(1, 4_000_000 // max(len(exponents), 1))
-    for lo in range(1, n_steps, chunk):
-        hi = min(lo + chunk, n_steps)
-        tau_n = mesh.tau[lo - 1 : hi - 1, None]
-        tau_np1 = mesh.tau[lo:hi, None]
+    # chunked over rows to keep the (rows x n_exp) intermediates cache-sized
+    chunk = max(1, TABLE_BLOCK // max(len(exponents), 1))
+    for a in range(max(lo, 1), hi, chunk):
+        b = min(a + chunk, hi)
+        tau_n = mesh.tau[a - 1 : b - 1, None]
+        tau_np1 = mesh.tau[a:b, None]
         z = tau_n * mu[None, :]
         f1, f2 = _phi_pair(z)
         damp = tau_n * _exp_neg(0.5 * tau_np1 * mu[None, :])
-        lam1[lo:hi] = damp * f1
-        lam2[lo:hi] = damp * f2
-        decay[lo:hi] = _exp_neg(0.5 * (tau_n + tau_np1) * mu[None, :])
+        lam1[a - lo : b - lo] = damp * f1
+        lam2[a - lo : b - lo] = damp * f2
+        decay[a - lo : b - lo] = _exp_neg(0.5 * (tau_n + tau_np1) * mu[None, :])
     return lam1, lam2, decay
+
+
+def live_exponents(mesh: TemporalMesh, exponents: np.ndarray, lam: float) -> np.ndarray:
+    """How many leading exponents can still reach the solution, per step.
+
+    Where 0.5 tau_{n+1} (lam + s_i) > `_EXP_FLUSH`, the flush makes
+    lam1_{i,n} = lam2_{i,n} = 0 exactly, and the decay (whose argument is at
+    least as large) too, so the update of step n sets H_i to exactly 0.
+    ``exponents`` is increasing, so those exponents form a suffix; entry n
+    is the length of the prefix left, tested with the same expression as
+    `lambda_tables` (entry 0 is n_exp).  The running minimum is taken, so an
+    exponent dropped at one step stays dropped even on a mesh whose steps
+    shrink; graded meshes (r >= 1) never shrink a step, and there the
+    minimum changes nothing.
+    """
+    mu = lam + exponents
+    counts = np.empty(mesh.N, dtype=np.intp)
+    counts[0] = len(exponents)
+    chunk = max(1, TABLE_BLOCK // max(len(exponents), 1))
+    for a in range(1, mesh.N, chunk):
+        b = min(a + chunk, mesh.N)
+        reach = 0.5 * mesh.tau[a:b, None] * mu[None, :]
+        counts[a:b] = np.count_nonzero(reach <= _EXP_FLUSH, axis=1)
+    return np.minimum.accumulate(counts)
 
 
 @dataclass(frozen=True)
@@ -179,7 +212,11 @@ class HistoryState:
 
     ``H[j, i]`` approximates int_0^{t_n} exp(-(lam+s_i)(tbar_n - s)) u(x_j, s) ds
     after the update for step n; ``n_last`` records that step.  Owned and
-    mutated by a single solver run.
+    mutated by a single solver run.  `run` allocates H column-major
+    (``order="F"``), so that the columns of the live exponents, a prefix
+    (`live_exponents`), are one contiguous block; columns past the live
+    prefix of the last update are stale and never read again.  Any layout
+    works for `history_advance`.
     """
 
     H: np.ndarray
@@ -198,7 +235,8 @@ def history_advance(
 ) -> HistoryState:
     """Push the interval [t_{n-1}, t_n] into the accumulators (in place).
 
-    ``lam1``, ``lam2`` and ``decay`` are row n of `lambda_tables`.
+    ``lam1``, ``lam2`` and ``decay`` are row n of `lambda_tables`, or the
+    first a entries of it; then only the first a columns of H are updated.
     """
     if n < 1:
         raise ValueError("history_advance requires n >= 1; step 0 has no history")
@@ -210,13 +248,16 @@ def history_advance(
     u_n = np.atleast_1d(np.asarray(u_n, dtype=float))
     u_nm1 = np.atleast_1d(np.asarray(u_nm1, dtype=float))
     # rank-2 update as one small matmul into a reused workspace: this runs
-    # once per time step over the full (points x exponents) table
+    # once per time step over the live (points x exponents) block
     if state._work is None or state._work.shape != state.H.shape:
         state._work = np.empty_like(state.H)
+    a = len(lam1)
+    H = state.H[:, :a]
+    work = state._work[:, :a]
     uu = np.stack((u_n, u_nm1))  # (2, J)
-    ll = np.stack((lam1, lam2))  # (2, I)
-    state.H *= decay
-    state.H += np.matmul(uu.T, ll, out=state._work)
+    ll = np.stack((lam1, lam2))  # (2, a)
+    H *= decay
+    H += np.matmul(uu.T, ll, out=work)
     state.n_last = n
     return state
 

@@ -189,7 +189,7 @@ def _soe_sum(weights: np.ndarray, exponents: np.ndarray, t: np.ndarray) -> np.nd
     out = np.empty(t.shape)
     # blockwise with in-place ops: keeps the (t x terms) scratch cache-sized;
     # the clamp stops exp from producing throughput-killing denormals
-    step = max(1, 2_000_000 // max(len(exponents), 1))
+    step = max(1, 250_000 // max(len(exponents), 1))
     for i in range(0, len(t), step):
         block = np.outer(t[i : i + step], exponents)
         np.minimum(block, 700.0, out=block)

@@ -26,12 +26,14 @@ from scipy.linalg.lapack import dgtsv
 
 from tfade.mesh import SpatialGrid, TemporalMesh, graded_mesh, soe_interval, uniform_grid
 from tfade.operators import (
+    TABLE_BLOCK,
     HistoryState,
     LocalCoefficients,
     direct_history_weights,
     direct_quadrature,
     history_advance,
     lambda_tables,
+    live_exponents,
     local_coefficients,
 )
 from tfade.problems import l2_norm
@@ -251,7 +253,9 @@ def _forcing_table(f: Callable, xi: np.ndarray, tbar: np.ndarray) -> np.ndarray:
         table = np.asarray(f(xi[None, :], tbar[:, None]), dtype=float)
         if table.shape == (n_steps, m):
             return table
-    except Exception:
+    except (TypeError, ValueError):
+        # what scalar-only code raises on arrays (float() of an array, the
+        # truth value of an array); any other error is a fault in f
         pass
     table = np.empty((n_steps, m))
     for n, t in enumerate(tbar):
@@ -321,6 +325,37 @@ def _march(
             checked = n + 2
 
 
+def _fast_history(
+    mesh: TemporalMesh, exponents: np.ndarray, omega: np.ndarray, lam: float,
+    levels: np.ndarray,
+) -> Callable[[int], np.ndarray]:
+    """The fast method's ``history(n)`` for `_march`: sum_i omega_i H_i after step n.
+
+    The moments are made in blocks of about `TABLE_BLOCK` elements as the
+    march reaches them, and only for the exponents still live
+    (`live_exponents`), so no N x n_exp table exists.  H is column-major so
+    that the live columns stay one contiguous block.
+    """
+    live = live_exponents(mesh, exponents, lam).tolist()
+    state = HistoryState(H=np.zeros((levels.shape[1], len(exponents)), order="F"))
+    lo = hi = 0
+    lam1 = lam2 = decay = None
+
+    def history(n: int) -> np.ndarray:
+        nonlocal lo, hi, lam1, lam2, decay
+        a = live[n]
+        if n >= hi:
+            lo, hi = n, min(n + max(1, TABLE_BLOCK // max(a, 1)), mesh.N)
+            lam1, lam2, decay = lambda_tables(mesh, exponents[:a], lam, lo, hi)
+        k = n - lo
+        history_advance(
+            state, levels[n], levels[n - 1], lam1[k, :a], lam2[k, :a], decay[k, :a], n
+        )
+        return state.H[:, :a] @ omega[:a]
+
+    return history
+
+
 def run(config: SchemeConfig, problem) -> Trajectory:
     """March the scheme from t = 0 to t = T.
 
@@ -350,16 +385,7 @@ def run(config: SchemeConfig, problem) -> Trajectory:
     if config.method == "fast":
         soe = build_soe(alpha, config.epsilon, *soe_interval(mesh))
         n_exp_used = soe.n_exp
-        hist_state = HistoryState(H=np.zeros((config.M - 1, n_exp_used)), n_last=0)
-        lam1_t, lam2_t, decay_t = lambda_tables(mesh, soe.exponents, lam)
-        omega_scaled = hist_scale * soe.weights
-
-        def history(n: int) -> np.ndarray:
-            history_advance(
-                hist_state, levels[n], levels[n - 1], lam1_t[n], lam2_t[n], decay_t[n], n
-            )
-            return hist_state.H @ omega_scaled
-
+        history = _fast_history(mesh, soe.exponents, hist_scale * soe.weights, lam, levels)
     else:
         nodes, hats = direct_quadrature(mesh)
         hats *= hist_scale

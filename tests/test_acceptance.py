@@ -16,6 +16,7 @@ known-discrepancies section.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,31 @@ def test_criterion_8_complexity():
     assert slope_direct >= 1.70
     assert fast_t[-1] < direct_t[-1]
     assert max(increments) <= 200
+
+
+# ---------------------------------------------------------------------------
+# criterion 10: fast-method storage does not grow with N
+# ---------------------------------------------------------------------------
+def test_criterion_10_fast_storage_flat_in_n():
+    # the SOE recurrence needs only the current step's moments and H, so
+    # the traced peak of a fast solve stays flat when N grows 8x at fixed M
+    # (the level table, O(M N), is 0.2 MB at N=4096 and M=8)
+    mc = case(1, 0.5)
+    run(SchemeConfig(alpha=0.5, lam=1.0, M=8, N=64), mc)  # warm caches outside the trace
+
+    def peak_mb(n_steps):
+        tracemalloc.start()
+        try:
+            run(SchemeConfig(alpha=0.5, lam=1.0, M=8, N=n_steps), mc)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_mb(512), peak_mb(4096)
+    ok = large <= 1.25 * small
+    print(f"[criterion 10: storage] {'PASS' if ok else 'FAIL'} "
+          f"fast peak N=4096 {large:.2f} MB <= 1.25 x N=512 {small:.2f} MB")
+    assert ok
 
 
 # ---------------------------------------------------------------------------

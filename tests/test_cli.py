@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tfade.cli as cli
 from tfade.soe import CertificationError
@@ -243,3 +250,96 @@ class TestInvalidInput:
             "convergence", "--case", "1", "--N", "8,16", "--M", "8", "--lambda", "nan",
             "--method", "both", "--out", str(tmp_path / "x.csv"),
         ], capsys)
+
+    def test_string_alpha_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": "abc"}))
+        self._assert_usage_error(
+            ["solve", "--config", str(cfg), "--N", "16", "--M", "8"], capsys
+        )
+        # the one line names the key (capsys was drained above, so rerun)
+        with pytest.raises(SystemExit):
+            cli.main(["solve", "--config", str(cfg), "--N", "16", "--M", "8"])
+        assert "alpha" in capsys.readouterr().err
+
+
+# RunSpec keys a config file may set, by the type their values must have
+_FLOAT_KEYS = ["alpha", "lam", "delta", "r", "epsilon", "T", "L"]
+_OPTIONAL_FLOAT_KEYS = ["t_min", "t_max"]
+_INT_KEYS = ["case_id", "samples", "reps"]
+_OPTIONAL_INT_KEYS = ["direct_max_n"]
+_STR_KEYS = ["method", "norm"]
+_OPTIONAL_STR_KEYS = ["out"]
+_LIST_KEYS = ["n_list", "m_list"]
+_OPTIONAL_LIST_KEYS = ["levels"]
+_ALL_KEYS = (_FLOAT_KEYS + _OPTIONAL_FLOAT_KEYS + _INT_KEYS + _OPTIONAL_INT_KEYS
+             + _STR_KEYS + _OPTIONAL_STR_KEYS + _LIST_KEYS + _OPTIONAL_LIST_KEYS)
+
+_junk = st.one_of(
+    st.text(max_size=5),
+    st.booleans(),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_not_a_number = st.one_of(_junk, st.lists(st.integers(), max_size=3))
+_not_an_int = st.one_of(_not_a_number, st.floats())
+_not_a_str = st.one_of(st.booleans(), st.integers(), st.floats(), st.lists(st.text(max_size=3), max_size=3))
+_not_an_int_list = st.one_of(
+    _junk.filter(lambda v: not isinstance(v, list)),
+    st.integers(),
+    st.tuples(
+        st.lists(st.integers(), max_size=3),
+        st.one_of(st.floats(), st.text(max_size=3), st.booleans(), st.none()),
+    ).map(lambda t: t[0] + [t[1]]),
+)
+
+
+def _wrong_value(key):
+    """Values of a type that the RunSpec field ``key`` must not take."""
+    for keys, optional, wrong in (
+        (_FLOAT_KEYS, _OPTIONAL_FLOAT_KEYS, _not_a_number),
+        (_INT_KEYS, _OPTIONAL_INT_KEYS, _not_an_int),
+        (_STR_KEYS, _OPTIONAL_STR_KEYS, _not_a_str),
+        (_LIST_KEYS, _OPTIONAL_LIST_KEYS, _not_an_int_list),
+    ):
+        if key in keys:
+            return st.one_of(wrong, st.none())
+        if key in optional:
+            return wrong
+    raise KeyError(key)
+
+
+class TestConfigFileTypes:
+    def test_every_spec_field_is_covered(self):
+        assert sorted(_ALL_KEYS) == sorted(
+            k for k in vars(cli.RunSpec(command="-")) if k != "command"
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(_ALL_KEYS).flatmap(lambda k: st.tuples(st.just(k), _wrong_value(k))))
+    def test_any_wrongly_typed_value_is_a_usage_error(self, key_value):
+        """Exit 1 with one stderr line naming the key; nothing is solved."""
+        key, value = key_value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), mock.patch.object(
+                cli, "run", side_effect=AssertionError("reached the solver")
+            ), pytest.raises(SystemExit) as err:
+                cli.main(["solve", "--config", str(cfg), "--N", "16", "--M", "8"])
+        assert err.value.code == 1
+        lines = stderr.getvalue().strip().splitlines()
+        assert len(lines) == 1
+        assert key in lines[0]
+
+    @pytest.mark.parametrize("values", [
+        {"alpha": 1, "lam": 0, "T": 2},
+        {"t_min": None, "levels": None, "direct_max_n": None, "out": None},
+        {"n_list": [], "m_list": [8], "levels": [0, 4]},
+    ])
+    def test_well_typed_values_pass(self, tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        spec = cli._resolve_spec(cli._build_parser().parse_args(["solve", "--config", str(cfg)]))
+        for key, value in values.items():
+            assert getattr(spec, key) == value

@@ -15,11 +15,12 @@ from tfade.operators import (
     explicit_part,
     history_advance,
     lambda_tables,
+    live_exponents,
     local_coefficients,
     oracle_caputo,
 )
 from tfade.problems import case
-from tfade.soe import gamma_fn, gauss_legendre
+from tfade.soe import build_soe, gamma_fn, gauss_legendre
 from tfade.solver import SchemeConfig, run
 
 mpmath.mp.dps = 40
@@ -186,6 +187,83 @@ class TestHistoryAdvance:
             history_advance(h, np.ones(1), np.ones(1), lam1[2], lam2[2], decay[2], 2)
         with pytest.raises(ValueError):
             history_advance(h, np.ones(1), np.ones(1), lam1[0], lam2[0], decay[0], 0)
+
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_prefix_update_touches_only_its_columns(self, soe_cache, order):
+        # a row prefix of length a updates H[:, :a] exactly as the whole row
+        # does and leaves the other columns alone, in either layout
+        mesh = graded_mesh(2.0, 8, 3.0)
+        soe = soe_cache(ALPHA, 1e-10, *soe_interval(mesh))
+        lam1, lam2, decay = lambda_tables(mesh, soe.exponents, LAM)
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((9, 5))
+        full = HistoryState(H=np.zeros((5, soe.n_exp), order=order))
+        part = HistoryState(H=np.zeros((5, soe.n_exp), order=order))
+        a = soe.n_exp // 2
+        for n in range(1, 8):
+            before = part.H.copy()
+            history_advance(full, u[n], u[n - 1], lam1[n], lam2[n], decay[n], n)
+            history_advance(part, u[n], u[n - 1], lam1[n, :a], lam2[n, :a], decay[n, :a], n)
+            assert np.array_equal(part.H[:, :a], full.H[:, :a])
+            assert np.array_equal(part.H[:, a:], before[:, a:])
+
+
+class TestLivePrefix:
+    """The exponents `live_exponents` drops are exactly dead in the tables."""
+
+    @pytest.fixture(scope="class")
+    def mesh_soe(self):
+        mesh = graded_mesh(2, 256, 3)
+        return mesh, build_soe(ALPHA, 1e-10, *soe_interval(mesh))
+
+    @pytest.mark.parametrize("lam", [0.0, LAM, 50.0])
+    def test_beyond_live_exactly_zero(self, mesh_soe, lam):
+        mesh, soe = mesh_soe
+        lam1, lam2, decay = lambda_tables(mesh, soe.exponents, lam)
+        live = live_exponents(mesh, soe.exponents, lam)
+        assert live.shape == (mesh.N,) and live[0] == soe.n_exp
+        assert live[-1] < soe.n_exp  # something is dropped, so the check bites
+        for n in range(1, mesh.N):
+            a = live[n]
+            assert np.all(lam1[n, a:] == 0.0)
+            assert np.all(lam2[n, a:] == 0.0)
+            assert np.all(decay[n, a:] == 0.0)
+
+    @pytest.mark.parametrize("lam", [0.0, LAM, 50.0])
+    def test_live_never_increases(self, mesh_soe, lam):
+        mesh, soe = mesh_soe
+        live = live_exponents(mesh, soe.exponents, lam)
+        assert np.all(np.diff(live) <= 0)
+
+    def test_running_minimum(self):
+        # graded meshes never shrink a step; on a hand-built mesh whose third
+        # step is shorter than its second, the exponent dropped at step 1
+        # stays dropped at step 2
+        tau = np.array([1.0, 2.0, 1.0, 3.0])
+        t = np.concatenate(([0.0], np.cumsum(tau)))
+        mesh = TemporalMesh(T=float(t[-1]), N=4, r=1.0, t=t, tau=tau,
+                            tbar=0.5 * (t[:-1] + t[1:]))
+        live = live_exponents(mesh, np.array([1.0, 300.0, 500.0]), 0.0)
+        assert live.tolist() == [3, 2, 2, 1]
+
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (0, 7), (1, 2), (3, 100), (100, 256), (255, 256), (17, 17)])
+    def test_row_range_bit_identical(self, mesh_soe, lo, hi):
+        mesh, soe = mesh_soe
+        full = lambda_tables(mesh, soe.exponents, LAM)
+        part = lambda_tables(mesh, soe.exponents, LAM, lo, hi)
+        a = live_exponents(mesh, soe.exponents, LAM)[min(lo, mesh.N - 1)]
+        prefix = lambda_tables(mesh, soe.exponents[:a], LAM, lo, hi)
+        for f, p, q in zip(full, part, prefix):
+            assert p.shape == (hi - lo, soe.n_exp)
+            assert np.array_equal(p, f[lo:hi])
+            assert np.array_equal(q, f[lo:hi, :a])
+
+    @pytest.mark.parametrize("lo,hi", [(-1, 4), (5, 4), (0, 257)])
+    def test_row_range_validation(self, mesh_soe, lo, hi):
+        mesh, soe = mesh_soe
+        with pytest.raises(ValueError):
+            lambda_tables(mesh, soe.exponents, LAM, lo, hi)
 
 
 class TestABCoeffs:

@@ -262,6 +262,45 @@ class TestRun:
             run(cfg, (lambda x: np.zeros_like(x), bad_forcing))
         assert err.value.step is not None
 
+    def test_forcing_fault_propagates(self):
+        # an error other than the TypeError/ValueError of a scalar-only
+        # callable is a fault in the forcing, not a reason to loop per step
+        calls = []
+
+        def faulty(x, t):
+            calls.append(np.ndim(t))
+            if np.ndim(t) > 0:
+                raise ZeroDivisionError("fault in the forcing")
+            return np.zeros_like(x)
+
+        cfg = SchemeConfig(alpha=0.5, lam=1.0, M=8, N=16)
+        with pytest.raises(ZeroDivisionError):
+            run(cfg, (lambda x: np.zeros_like(x), faulty))
+        assert calls == [2]
+
+    def test_scalar_only_forcing_falls_back_per_step(self):
+        cfg = SchemeConfig(alpha=0.5, lam=1.0, M=8, N=16)
+        mc = case(1, 0.5)
+
+        def scalar_t(x, t):
+            return mc.forcing(x, float(t))  # TypeError on a (N, 1) array
+
+        a = run(cfg, (mc.phi, scalar_t))
+        b = run(cfg, mc)
+        for n in range(17):
+            assert np.allclose(a.snapshots[n], b.snapshots[n], rtol=1e-12, atol=1e-15)
+
+    def test_table_block_size_leaves_levels_unchanged(self, monkeypatch):
+        # the fast march makes its moments in blocks of rows over the live
+        # exponents; one row per block must give the very same levels
+        cfg = SchemeConfig(alpha=0.5, lam=1.0, M=12, N=200)
+        mc = case(2, 0.5)
+        blocked = run(cfg, mc)
+        monkeypatch.setattr(solver_mod, "TABLE_BLOCK", 1)
+        rows = run(cfg, mc)
+        for n in range(cfg.N + 1):
+            assert np.array_equal(blocked.snapshots[n], rows.snapshots[n])
+
     @pytest.mark.parametrize("method", ["direct", "fast"])
     def test_numpy_march_matches_step_reference(self, method):
         # run's march folds the per-step coefficients into per-run tables;
