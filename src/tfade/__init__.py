@@ -16,8 +16,6 @@ from tfade.soe import (
     build_soe,
     certify_soe,
     eval_soe,
-    gamma_fn,
-    gauss_legendre,
 )
 from tfade.solver import SchemeConfig, Trajectory, run, stability_probe, thomas_solve
 
@@ -33,8 +31,6 @@ __all__ = [
     "case",
     "certify_soe",
     "eval_soe",
-    "gamma_fn",
-    "gauss_legendre",
     "graded_mesh",
     "h1_norm",
     "l2_norm",

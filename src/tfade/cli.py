@@ -257,11 +257,11 @@ def cmd_solve(spec: RunSpec) -> int:
     n_steps, m_cells = spec.n_list[0], spec.m_list[0]
     mc, problem = _problem(spec)
     method = spec.method if spec.method != "both" else "fast"
-    traj = run(_config(spec, m_cells, n_steps, method), problem)
     levels = spec.levels or sorted({0, n_steps // 4, n_steps // 2, 3 * n_steps // 4, n_steps})
-    bad = [n for n in levels if not 0 <= n <= n_steps or n not in traj.snapshots]
+    bad = [n for n in levels if not 0 <= n <= n_steps]
     if bad:
-        raise _usage_error(f"levels not retained in trajectory: {bad}")
+        raise _usage_error(f"levels must lie in 0..{n_steps}, got {bad}")
+    traj = run(_config(spec, m_cells, n_steps, method), problem)
     x = traj.grid.x
     with _open_out(spec) as fh:
         for line in spec.header_lines():

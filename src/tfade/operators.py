@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from tfade.mesh import TemporalMesh
-from tfade.soe import SOEApprox, gamma_fn, gauss_legendre
+from tfade.soe import SOEApprox, leggauss
 
 __all__ = [
     "ABCoeffs",
@@ -66,6 +66,11 @@ _EXP_FLUSH = 345.0
 # elements per block of the (rows x n_exp) moment tables: three 512 KB
 # blocks and the intermediates of one stay within a few MB
 TABLE_BLOCK = 65_536
+# Gauss-Legendre nodes per history interval of the direct method
+_DIRECT_NODES = 32
+# graded panels and nodes per panel of `oracle_caputo`
+_ORACLE_PANELS = 200
+_ORACLE_NODES = 24
 
 
 def _exp_neg(x):
@@ -186,10 +191,10 @@ def local_coefficients(mesh: TemporalMesh, alpha: float, lam: float) -> LocalCoe
 
     Both methods share them: only the history bracket differs.
     """
-    B = mesh.tau ** (-alpha) / (2.0 ** (1.0 - alpha) * gamma_fn(2.0 - alpha))
+    B = mesh.tau ** (-alpha) / (2.0 ** (1.0 - alpha) * math.gamma(2.0 - alpha))
     c_expl = (1.0 - 2.0 * alpha * np.exp(-lam * mesh.tau / 2.0)) * B
     bndry = np.exp(-lam * mesh.tbar) * mesh.tbar ** (-alpha)
-    return LocalCoefficients(B, c_expl, bndry, 1.0 / gamma_fn(1.0 - alpha))
+    return LocalCoefficients(B, c_expl, bndry, 1.0 / math.gamma(1.0 - alpha))
 
 
 def explicit_part(coeffs: LocalCoefficients, n: int, u_n, u_0, hist):
@@ -294,19 +299,19 @@ def ab_coeffs(
     return ABCoeffs(n=n, a=a_by_k[::-1].copy(), b=b_by_k[::-1].copy())
 
 
-def direct_quadrature(mesh: TemporalMesh, n_nodes: int = 32) -> tuple[np.ndarray, np.ndarray]:
+def direct_quadrature(mesh: TemporalMesh) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and hat weights on every interval of the mesh.
 
-    Returns (nodes, hats): ``nodes[k-1]`` holds the n_nodes nodes on
+    Returns (nodes, hats): ``nodes[k-1]`` holds the `_DIRECT_NODES` nodes on
     [t_{k-1}, t_k]; ``hats[k-1, :, 0]`` the quadrature weights times the
     right hat (s - t_{k-1})/tau_k and ``hats[k-1, :, 1]`` times the left hat
     (t_k - s)/tau_k.
     """
-    rule = gauss_legendre(n_nodes)
+    x, w = leggauss(_DIRECT_NODES)
     t0 = mesh.t[:-1]
     half = 0.5 * mesh.tau
-    nodes = (t0 + half)[:, None] + half[:, None] * rule.nodes[None, :]
-    wq = half[:, None] * rule.weights[None, :]
+    nodes = (t0 + half)[:, None] + half[:, None] * x[None, :]
+    wq = half[:, None] * w[None, :]
     right = (nodes - t0[:, None]) / mesh.tau[:, None]
     hats = np.empty(nodes.shape + (2,))
     hats[..., 0] = wq * right
@@ -344,15 +349,7 @@ def direct_history_weights(
     return ab[:, 0, 0], ab[:, 0, 1]
 
 
-def oracle_caputo(
-    u,
-    du,
-    t: float,
-    alpha: float,
-    lam: float,
-    n_panels: int = 200,
-    n_nodes: int = 24,
-) -> float:
+def oracle_caputo(u, du, t: float, alpha: float, lam: float) -> float:
     """High-accuracy quadrature of the continuous tempered derivative.
 
         (exp(-lam t) / Gamma(1-alpha)) int_0^t (t-s)^(-alpha) (e^{lam s} u(s))' ds
@@ -366,8 +363,8 @@ def oracle_caputo(
     """
     if not t > 0.0:
         raise ValueError("oracle_caputo requires t > 0")
-    rule = gauss_legendre(n_nodes)
-    m = n_panels // 2
+    x, w = leggauss(_ORACLE_NODES)
+    m = _ORACLE_PANELS // 2
     sigma = 0.75
     half_t = 0.5 * t
 
@@ -379,8 +376,8 @@ def oracle_caputo(
     s_edges = np.concatenate(([0.0], half_t * sigma ** np.arange(m - 1, -1.0, -1.0)))
     mid = 0.5 * (s_edges[:-1] + s_edges[1:])
     half = 0.5 * (s_edges[1:] - s_edges[:-1])
-    s = mid[:, None] + half[:, None] * rule.nodes[None, :]
-    wq = half[:, None] * rule.weights[None, :]
+    s = mid[:, None] + half[:, None] * x[None, :]
+    wq = half[:, None] * w[None, :]
     total = float(np.sum(wq * (t - s) ** (-alpha) * g(s)))
     # near half in the kernel variable v = t - s, panels graded toward v = 0:
     # v is formed from exact geometric edges, which sidesteps the t - s
@@ -388,10 +385,10 @@ def oracle_caputo(
     v_edges = half_t * sigma ** np.arange(m, -1.0, -1.0)
     mid = 0.5 * (v_edges[:-1] + v_edges[1:])
     half = 0.5 * (v_edges[1:] - v_edges[:-1])
-    v = mid[:, None] + half[:, None] * rule.nodes[None, :]
-    wq = half[:, None] * rule.weights[None, :]
+    v = mid[:, None] + half[:, None] * x[None, :]
+    wq = half[:, None] * w[None, :]
     total += float(np.sum(wq * v ** (-alpha) * g(t - v)))
     # analytic endcap over v in [0, w_cap] with the smooth factor frozen
     w_cap = half_t * sigma**m
     total += float(g(np.asarray(t - 0.5 * w_cap))) * w_cap ** (1.0 - alpha) / (1.0 - alpha)
-    return math.exp(-lam * t) / gamma_fn(1.0 - alpha) * total
+    return math.exp(-lam * t) / math.gamma(1.0 - alpha) * total

@@ -15,8 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from tfade.soe import gamma_fn
-
 __all__ = [
     "ErrorRow",
     "ManufacturedCase",
@@ -53,8 +51,18 @@ def case(id: int, alpha: float, lam: float = 1.0, delta: float = 1.8) -> Manufac
     Case 1: u = e^{-lam t} (t^delta + 1) x^2 (1-x)^2
     Case 2: u = e^{-lam t} (t^delta + 1) sin(pi x^2)
     Case 3: u = e^{-lam t} (e^{-x} t^delta + 1) x^4 (1-x)^4
+
+    Raises ValueError naming the field unless 0 < alpha < 1, lam is finite
+    and >= 0, and delta is finite and > 0 (delta <= 0 would make the exact
+    solution at t = 0 differ from phi).
     """
-    gq = gamma_fn(delta + 1.0) / gamma_fn(delta - alpha + 1.0)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    gq = math.gamma(delta + 1.0) / math.gamma(delta - alpha + 1.0)
 
     def time_bracket(t):
         # u_t + D^{alpha,lam} u contributions of the profile (t^delta + 1)
@@ -167,7 +175,7 @@ _NORMS = {"l2": l2_norm, "h1": h1_norm}
 
 
 def max_error(traj, case_: ManufacturedCase, norm: str = "l2") -> float:
-    """Max over retained time levels n >= 1 of ||U^n - u(., t_n)||."""
+    """Max over the time levels n >= 1 of ||U^n - u(., t_n)||."""
     norm_fn = _NORMS[norm.lower()]
     xi = traj.grid.x_interior
     h = traj.grid.h

@@ -15,10 +15,6 @@ representation
 with beta = 1 + alpha, by applying Gauss-Legendre quadrature on dyadic panels
 in s, and certifies the result a posteriori on a dense logarithmic grid.  The
 certified bound is *relative*: max |k - soe| / k <= epsilon on the interval.
-
-Also provides the two special-function utilities the rest of the package
-needs: a Lanczos Gamma function and Gauss-Legendre rules (Newton iteration on
-the Legendre recurrence, no external dependencies).
 """
 
 from __future__ import annotations
@@ -32,13 +28,11 @@ import numpy as np
 __all__ = [
     "CertificationError",
     "CertReport",
-    "QuadratureRule",
     "SOEApprox",
     "build_soe",
     "certify_soe",
     "eval_soe",
-    "gamma_fn",
-    "gauss_legendre",
+    "leggauss",
 ]
 
 
@@ -46,101 +40,17 @@ class CertificationError(RuntimeError):
     """Raised when a constructed exponential sum fails its accuracy check."""
 
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error below 1e-14
-# for real positive arguments, which is ample for the 1e-13 contract here.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real x > 0 (Lanczos rational approximation).
-
-    Raises ValueError for x <= 0; the reflection formula is used internally
-    for 0 < x < 0.5 so the Lanczos series is only ever evaluated on its
-    well-conditioned branch.
-    """
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"gamma_fn requires x > 0, got {x!r}")
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre nodes/weights on (-1, 1)."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def map_to(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Affinely mapped nodes and weights for the interval [a, b]."""
-        half = 0.5 * (b - a)
-        return 0.5 * (a + b) + half * self.nodes, half * self.weights
-
-
 @lru_cache(maxsize=None)
-def gauss_legendre(order: int) -> QuadratureRule:
-    """Gauss-Legendre rule with ``order`` nodes, 1 <= order <= 64.
+def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (increasing) and weights on (-1, 1), cached.
 
-    Nodes are the roots of the degree-``order`` Legendre polynomial, found by
-    Newton iteration from Chebyshev initial guesses; weights are
-    2 / ((1 - x^2) P'_n(x)^2).
+    One `build_soe` asks for the same few rules over a hundred times, and a
+    fresh `numpy.polynomial.legendre.leggauss` call costs up to a millisecond.
+    The arrays are shared between callers, so they are read-only.
     """
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ValueError("order must be an integer")
-    if not 1 <= order <= 64:
-        raise ValueError(f"order must be in [1, 64], got {order}")
-    n = int(order)
-    k = np.arange(1, n + 1)
-    x = np.cos(np.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
-    for _ in range(100):
-        # Legendre recurrence up to degree n, plus derivative at x
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        if n == 1:
-            p_prev, p = np.ones_like(x), x.copy()
-        for m in range(2, n + 1):
-            p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
-        if n == 1:
-            dp = np.ones_like(x)
-        else:
-            dp = n * (x * p - p_prev) / (x * x - 1.0)
-        dx = p / dp
-        x = x - dx
-        if np.max(np.abs(dx)) < 1e-15:
-            break
-    # one clean-up recurrence pass for the converged derivative
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for m in range(2, n + 1):
-        p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
-    if n == 1:
-        x = np.zeros(1)
-        w = np.full(1, 2.0)
-    else:
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-    idx = np.argsort(x)
-    return QuadratureRule(nodes=x[idx], weights=w[idx], order=n)
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass(frozen=True)
@@ -164,20 +74,11 @@ class SOEApprox:
     def n_exp(self) -> int:
         return len(self.weights)
 
-    @property
-    def terms(self) -> list[tuple[float, float]]:
-        return list(zip(self.weights.tolist(), self.exponents.tolist()))
-
 
 @dataclass(frozen=True)
 class CertReport:
     max_rel_error: float
     argmax_t: float
-
-    @property
-    def max_abs_error_scale(self) -> float:
-        """Induced absolute error bound at the worst point."""
-        return self.max_rel_error * self.argmax_t
 
 
 def _kernel(alpha: float, t: np.ndarray) -> np.ndarray:
@@ -258,7 +159,7 @@ def build_soe(
         raise ValueError(f"need 0 < t_min < t_max, got ({t_min!r}, {t_max!r})")
 
     beta = 1.0 + alpha
-    gamma_beta = gamma_fn(beta)
+    gamma_beta = math.gamma(beta)
 
     # left tail: int_0^a s^(beta-1) e^(-ts) ds <= a^beta / beta must stay
     # below (epsilon/4) * Gamma(beta) * t_max^(-beta)
@@ -276,9 +177,11 @@ def build_soe(
     probe_kernel = _kernel(alpha, probe)
 
     def panel_terms(j: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        rule = gauss_legendre(n_nodes)
-        s, w = rule.map_to(2.0**j, 2.0 ** (j + 1))
-        return w * s ** (beta - 1.0) / gamma_beta, s
+        # the panel [2^j, 2^(j+1)] is 3 half -/+ half
+        half = 2.0 ** (j - 1)
+        x, wq = leggauss(n_nodes)
+        s = 3.0 * half + half * x
+        return half * wq * s ** (beta - 1.0) / gamma_beta, s
 
     all_w: list[np.ndarray] = []
     all_s: list[np.ndarray] = []

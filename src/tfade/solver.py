@@ -50,8 +50,6 @@ __all__ = [
     "thomas_solve",
 ]
 
-# keep every time level in the trajectory as long as the table stays this small
-_SNAPSHOT_BUDGET = 10_000_000
 # the march checks its new levels for NaN/Inf in blocks of this many
 # steps: a check per step would cost as much as the rest of a small step's
 # O(M) work, and a block bounds the steps marched past a failure
@@ -163,9 +161,9 @@ def thomas_solve(sys: TridiagonalSystem) -> np.ndarray:
 class Trajectory:
     """Result of one march; snapshots hold interior vectors keyed by level.
 
-    Boundary values are identically zero at every level; levels are all
-    retained unless M*N exceeds the snapshot budget, in which case they are
-    strided with the final level always kept.
+    ``snapshots`` maps every level n = 0..N to a row of one shared level
+    table (a view, not a copy).  Boundary values are identically zero at
+    every level.
     """
 
     config: SchemeConfig
@@ -236,8 +234,6 @@ def assemble_step(
 def _coerce_problem(problem) -> tuple[Callable, Callable]:
     if hasattr(problem, "phi") and hasattr(problem, "forcing"):
         return problem.phi, problem.forcing
-    if isinstance(problem, dict):
-        return problem["phi"], problem["f"]
     phi, f = problem
     return phi, f
 
@@ -359,8 +355,8 @@ def _fast_history(
 def run(config: SchemeConfig, problem) -> Trajectory:
     """March the scheme from t = 0 to t = T.
 
-    ``problem`` is a ManufacturedCase, a (phi, f) pair or a {"phi", "f"}
-    dict; both callables must be vectorized (phi over x, f over (x, t)).
+    ``problem`` is a ManufacturedCase or a (phi, f) pair; both callables
+    must be vectorized (phi over x, f over (x, t)).
     History bookkeeping: before assembling step n >= 1 the accumulators are
     advanced with (U^n, U^{n-1}), which re-references them to tbar_n;
     step 0 has no history term.
@@ -397,18 +393,11 @@ def run(config: SchemeConfig, problem) -> Trajectory:
     _march(levels, f_table, mesh, grid.h, coeffs, history)
 
     wall = time.perf_counter() - start
-    total = (config.M - 1) * (config.N + 1)
-    if total <= _SNAPSHOT_BUDGET:
-        snapshots = {n: levels[n] for n in range(config.N + 1)}
-    else:
-        stride = -(-total // _SNAPSHOT_BUDGET)
-        snapshots = {n: levels[n] for n in range(0, config.N + 1, stride)}
-        snapshots[config.N] = levels[config.N]
     return Trajectory(
         config=config,
         mesh=mesh,
         grid=grid,
-        snapshots=snapshots,
+        snapshots=dict(enumerate(levels)),
         wall_time=wall,
         n_exp_used=n_exp_used,
     )

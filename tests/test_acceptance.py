@@ -34,7 +34,7 @@ from tfade.operators import (
     oracle_caputo,
 )
 from tfade.problems import case, h1_norm, l2_norm, max_error, order_table
-from tfade.soe import build_soe, gamma_fn
+from tfade.soe import build_soe
 from tfade.solver import SchemeConfig, run, stability_probe
 
 pytestmark = pytest.mark.filterwarnings(
@@ -300,7 +300,7 @@ ALPHA5, LAM5, DELTA5, R5 = 0.5, 1.0, 1.8, 3.0
 
 @pytest.fixture(scope="module")
 def operator_errors():
-    gq = gamma_fn(DELTA5 + 1.0) / gamma_fn(DELTA5 + 1.0 - ALPHA5)
+    gq = math.gamma(DELTA5 + 1.0) / math.gamma(DELTA5 + 1.0 - ALPHA5)
     out = {}
     for n_steps in (16, 32, 64, 128):
         mesh = graded_mesh(2.0, n_steps, R5)
@@ -528,7 +528,7 @@ def _check_constant_zero_derivative():
     nodes, hats = direct_quadrature(mesh)
     u = np.ones(17)
     hist = HistoryState(H=np.zeros((1, soe.n_exp)))
-    allow = 10 * 1e-10 * (mesh.tau[1] / 2.0) ** (-1.5) / gamma_fn(0.5)
+    allow = 10 * 1e-10 * (mesh.tau[1] / 2.0) ** (-1.5) / math.gamma(0.5)
     for n in range(16):
         direct = 0.0
         if n >= 1:

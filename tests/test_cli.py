@@ -229,11 +229,21 @@ class TestInvalidInput:
         assert len(stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "flag,value", [("--lambda", "nan"), ("--T", "inf"), ("--r", "nan"), ("--L", "inf")]
+        "flag,value",
+        [
+            ("--lambda", "nan"), ("--T", "inf"), ("--r", "nan"), ("--L", "inf"),
+            ("--delta", "inf"), ("--delta", "nan"), ("--delta", "-0.2"),
+        ],
     )
     def test_non_finite_solve_flag(self, tmp_path, capsys, flag, value):
         self._assert_usage_error([
             "solve", "--case", "1", "--N", "8", "--M", "8", flag, value,
+            "--out", str(tmp_path / "x.csv"),
+        ], capsys)
+
+    def test_level_past_n_refused_before_the_solve(self, tmp_path, capsys):
+        self._assert_usage_error([
+            "solve", "--case", "1", "--N", "8", "--M", "8", "--levels", "0,9",
             "--out", str(tmp_path / "x.csv"),
         ], capsys)
 

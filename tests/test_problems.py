@@ -40,6 +40,20 @@ class TestCases:
         with pytest.raises(ValueError):
             case(4, 0.5)
 
+    @pytest.mark.parametrize(
+        "field,kwargs",
+        [
+            ("alpha", {"alpha": 0.0}), ("alpha", {"alpha": 1.0}), ("alpha", {"alpha": math.nan}),
+            ("lam", {"lam": -0.1}), ("lam", {"lam": math.inf}), ("lam", {"lam": math.nan}),
+            ("delta", {"delta": -0.2}), ("delta", {"delta": 0.0}),
+            ("delta", {"delta": math.inf}), ("delta", {"delta": math.nan}),
+        ],
+    )
+    def test_invalid_field_named(self, field, kwargs):
+        args = {"alpha": 0.5, "lam": 1.0, "delta": 1.8, **kwargs}
+        with pytest.raises(ValueError, match=f"^{field} "):
+            case(1, **args)
+
 
 def _fd_time_derivative(fn, t, rel_step=1e-2):
     """4th-order central difference with a step proportional to t."""

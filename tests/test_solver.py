@@ -247,9 +247,9 @@ class TestRun:
         for n in range(17):
             assert np.all(traj.snapshots[n] == 0.0)
 
-    def test_dict_problem_accepted(self):
+    def test_scalar_forcing_pair_accepted(self):
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=8, N=8)
-        traj = run(cfg, {"phi": lambda x: np.zeros_like(x), "f": lambda x, t: 0.0})
+        traj = run(cfg, (lambda x: np.zeros_like(x), lambda x, t: 0.0))
         assert np.all(traj.snapshots[8] == 0.0)
 
     def test_nan_forcing_aborts_with_step(self):
@@ -354,13 +354,13 @@ class TestRun:
             )
             assert gap <= 1e-6
 
-    def test_snapshot_striding(self, monkeypatch):
-        monkeypatch.setattr(solver_mod, "_SNAPSHOT_BUDGET", 100)
+    def test_every_level_is_a_view_of_one_table(self):
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=12, N=32)
         traj = run(cfg, case(1, 0.5))
-        assert 32 in traj.snapshots  # final level always kept
-        assert len(traj.snapshots) < 33
-        assert 0 in traj.snapshots
+        assert list(traj.snapshots) == list(range(33))
+        table = traj.snapshots[0].base
+        assert table is not None and table.shape == (33, 11)
+        assert all(u.base is table for u in traj.snapshots.values())
 
     def test_trajectory_metadata(self):
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=16, N=8)
