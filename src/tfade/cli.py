@@ -22,11 +22,11 @@ import time
 import types
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from tfade.problems import case, max_error, order_table
+from tfade.problems import ManufacturedCase, case, l2_norm, max_error, order_table
 from tfade.soe import CertificationError, build_soe, certify_soe, eval_soe
 from tfade.solver import SchemeConfig, SolveError, run
 
@@ -74,7 +74,6 @@ class RunSpec:
     n_list: list[int] = field(default_factory=list)
     m_list: list[int] = field(default_factory=list)
     T: float = 2.0
-    L: float = 1.0
     norm: str = "l2"
     out: str | None = None
     t_min: float | None = None
@@ -87,11 +86,11 @@ class RunSpec:
     def header_lines(self) -> list[str]:
         return [
             f"# tfade {self.command}",
-            "# alpha={} lambda={} delta={} r={} eps={} method={} M={} N={} T={} L={} case={} norm={}".format(
+            "# alpha={} lambda={} delta={} r={} eps={} method={} M={} N={} T={} case={} norm={}".format(
                 self.alpha, self.lam, self.delta, self.r, self.epsilon, self.method,
                 ",".join(map(str, self.m_list)) or "-",
                 ",".join(map(str, self.n_list)) or "-",
-                self.T, self.L, self.case_id, self.norm,
+                self.T, self.case_id, self.norm,
             ),
         ]
 
@@ -111,20 +110,19 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with defaults for any flag; flags win")
         p.add_argument("--case", dest="case_id", type=int, default=None,
-                       help="benchmark case id (1|2|3; 0 = zero data, solve only)")
+                       help="benchmark case id (1|2|3; 0 = the zero solution, solve only)")
         p.add_argument("--alpha", type=float, default=None)
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--r", type=float, default=None, help="mesh grading exponent")
         p.add_argument("--eps", dest="epsilon", type=float, default=None,
-                       help="kernel compression accuracy target")
+                       help="kernel compression accuracy target, in [1e-14, 1e-2)")
         p.add_argument("--method", choices=("fast", "direct", "both"), default=None)
         p.add_argument("--N", dest="n_list", type=_int_list, default=None,
                        help="comma list of time step counts")
         p.add_argument("--M", dest="m_list", type=_int_list, default=None,
                        help="comma list of space cell counts")
         p.add_argument("--T", type=float, default=None)
-        p.add_argument("--L", type=float, default=None)
         p.add_argument("--norm", choices=("l2", "h1"), default=None)
         p.add_argument("--out", type=str, default=None, help="output CSV path")
 
@@ -152,7 +150,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_SPEC_DEFAULTS = RunSpec(command="-")
 _SPEC_TYPES = typing.get_type_hints(RunSpec)
 
 
@@ -176,12 +173,15 @@ def _fits(value, annotation) -> bool:
 
 
 def _check_file_values(path: str, file_values: dict) -> None:
-    """Reject a config-file value whose type does not fit its RunSpec field."""
-    for f in fields(RunSpec):
-        if f.name != "command" and f.name in file_values:
-            value = file_values[f.name]
-            if not _fits(value, _SPEC_TYPES[f.name]):
-                raise _usage_error(f"config {path}: {f.name} must be {f.type}, got {value!r}")
+    """Reject a config-file key that is no RunSpec field, or a value whose
+    type does not fit its field."""
+    for key, value in file_values.items():
+        if key not in _SPEC_TYPES:
+            raise _usage_error(f"config {path}: unknown key {key!r}")
+        if key != "command" and not _fits(value, _SPEC_TYPES[key]):
+            raise _usage_error(
+                f"config {path}: {key} must be {RunSpec.__annotations__[key]}, got {value!r}"
+            )
 
 
 def _resolve_spec(args: argparse.Namespace) -> RunSpec:
@@ -210,10 +210,6 @@ def _resolve_spec(args: argparse.Namespace) -> RunSpec:
             defaulted.add(name)
     if spec.command == "bench" and "method" in defaulted:
         spec.method = "both"
-    if spec.n_list is None:
-        spec.n_list = []
-    if spec.m_list is None:
-        spec.m_list = []
     return spec
 
 
@@ -231,22 +227,18 @@ def _methods(spec: RunSpec) -> list[str]:
     return ["fast", "direct"] if spec.method == "both" else [spec.method]
 
 
-def _problem(spec: RunSpec):
-    if spec.case_id == 0:
-        return None, (lambda x: np.zeros_like(x), lambda x, t: np.zeros_like(x))
+def _problem(spec: RunSpec) -> ManufacturedCase:
     try:
-        mc = case(spec.case_id, spec.alpha, spec.lam, spec.delta)
+        return case(spec.case_id, spec.alpha, spec.lam, spec.delta)
     except ValueError as exc:
         raise _usage_error(str(exc))
-    return mc, mc
 
 
 def _config(spec: RunSpec, m_cells, n_steps, method: str) -> SchemeConfig:
     """The SchemeConfig of one solve; an invalid value is a usage error."""
     try:
         return SchemeConfig(alpha=spec.alpha, lam=spec.lam, M=m_cells, N=n_steps,
-                            T=spec.T, L=spec.L, r=spec.r, epsilon=spec.epsilon,
-                            method=method)
+                            T=spec.T, r=spec.r, epsilon=spec.epsilon, method=method)
     except ValueError as exc:
         raise _usage_error(str(exc))
 
@@ -255,13 +247,13 @@ def cmd_solve(spec: RunSpec) -> int:
     if len(spec.n_list) != 1 or len(spec.m_list) != 1:
         raise _usage_error("solve needs exactly one value in --N and one in --M")
     n_steps, m_cells = spec.n_list[0], spec.m_list[0]
-    mc, problem = _problem(spec)
+    mc = _problem(spec)
     method = spec.method if spec.method != "both" else "fast"
     levels = spec.levels or sorted({0, n_steps // 4, n_steps // 2, 3 * n_steps // 4, n_steps})
     bad = [n for n in levels if not 0 <= n <= n_steps]
     if bad:
         raise _usage_error(f"levels must lie in 0..{n_steps}, got {bad}")
-    traj = run(_config(spec, m_cells, n_steps, method), problem)
+    traj = run(_config(spec, m_cells, n_steps, method), mc)
     x = traj.grid.x
     with _open_out(spec) as fh:
         for line in spec.header_lines():
@@ -270,20 +262,14 @@ def cmd_solve(spec: RunSpec) -> int:
         for n in levels:
             t_n = traj.mesh.t[n]
             u_full = traj.full_level(n)
-            exact = mc.exact(x, t_n) if mc is not None else np.zeros_like(x)
+            exact = mc.exact(x, t_n)
             for j in range(len(x)):
                 err = abs(u_full[j] - exact[j])
                 fh.write(f"{x[j]:.10e},{t_n:.10e},{u_full[j]:.10e},{exact[j]:.10e},{err:.10e}\n")
-    if mc is not None:
-        from tfade.problems import l2_norm
-
-        final_err = l2_norm(
-            traj.snapshots[n_steps] - mc.exact(traj.grid.x_interior, traj.mesh.t[-1]),
-            traj.grid.h,
-        )
-        print(f"final-level L2 error: {final_err:.6e}")
-    else:
-        print("final-level L2 error: n/a (no exact solution)")
+    final_err = l2_norm(
+        traj.snapshots[n_steps] - mc.exact(traj.grid.x_interior, traj.mesh.t[-1]), traj.grid.h
+    )
+    print(f"final-level L2 error: {final_err:.6e}")
     print(f"wrote {spec.out}")
     return EXIT_OK
 
@@ -309,7 +295,7 @@ def cmd_convergence(spec: RunSpec) -> int:
     if spec.case_id == 0:
         raise _usage_error("convergence needs a manufactured case (1|2|3)")
     knob, sweep, fixed = _sweep_axis(spec)
-    mc, problem = _problem(spec)
+    mc = _problem(spec)
 
     jobs = [(method, value) for method in _methods(spec) for value in sweep]
     # every config is checked before any job reaches the pool
@@ -319,7 +305,7 @@ def cmd_convergence(spec: RunSpec) -> int:
     ]
 
     def one(cfg: SchemeConfig) -> float:
-        return max_error(run(cfg, problem), mc, spec.norm)
+        return max_error(run(cfg, mc), mc, spec.norm)
 
     workers = min(8, os.cpu_count() or 1, len(jobs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -354,7 +340,7 @@ def cmd_bench(spec: RunSpec) -> int:
     if len(spec.m_list) != 1:
         raise _usage_error("bench needs exactly one --M value")
     m_cells = spec.m_list[0]
-    mc, problem = _problem(spec)
+    mc = _problem(spec)
     methods = _methods(spec)
     reps = max(1, spec.reps)
 
@@ -363,7 +349,7 @@ def cmd_bench(spec: RunSpec) -> int:
         walls = []
         n_exp = 0
         for _ in range(reps):
-            traj = run(cfg, problem)
+            traj = run(cfg, mc)
             walls.append(traj.wall_time)
             n_exp = traj.n_exp_used
         walls.sort()
@@ -371,7 +357,7 @@ def cmd_bench(spec: RunSpec) -> int:
 
     # warm code paths (quadrature caches) outside the timings
     for method in methods:
-        run(_config(spec, m_cells, spec.n_list[0], method), problem)
+        run(_config(spec, m_cells, spec.n_list[0], method), mc)
 
     rows: list[TimingRow] = []
     for n_steps in spec.n_list:

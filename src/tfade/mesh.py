@@ -50,16 +50,16 @@ class SpatialGrid:
 def graded_mesh(T: float, N: int, r: float) -> TemporalMesh:
     """Build the graded mesh t_n = T (n/N)**r, n = 0..N.
 
-    Requires T > 0, integer N >= 2 and grading exponent r >= 1 (r = 1 is the
-    uniform mesh; r < 1 is rejected since the step sizes must be
-    nondecreasing).
+    Requires finite T > 0, integer N >= 2 and finite grading exponent r >= 1
+    (r = 1 is the uniform mesh; r < 1 is rejected since the step sizes must
+    be nondecreasing).
     """
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T!r}")
+    if not 0 < T < np.inf:
+        raise ValueError(f"T must be finite and positive, got {T!r}")
     if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 2:
         raise ValueError(f"N must be an integer >= 2, got {N!r}")
-    if not r >= 1:
-        raise ValueError(f"grading exponent r must be >= 1, got {r!r}")
+    if not 1 <= r < np.inf:
+        raise ValueError(f"grading exponent r must be finite and >= 1, got {r!r}")
     n = np.arange(N + 1, dtype=float)
     t = T * (n / N) ** float(r)
     tau = np.diff(t)
@@ -79,9 +79,9 @@ def soe_interval(mesh: TemporalMesh) -> tuple[float, float]:
 
 
 def uniform_grid(L: float, M: int) -> SpatialGrid:
-    """Build the uniform spatial grid with M cells on [0, L]."""
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L!r}")
+    """Build the uniform spatial grid with M cells on [0, L], L finite and > 0."""
+    if not 0 < L < np.inf:
+        raise ValueError(f"L must be finite and positive, got {L!r}")
     if not isinstance(M, (int, np.integer)) or isinstance(M, bool) or M < 2:
         raise ValueError(f"M must be an integer >= 2, got {M!r}")
     x = np.linspace(0.0, float(L), int(M) + 1)

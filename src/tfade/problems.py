@@ -1,10 +1,19 @@
 """Manufactured test problems, discrete norms and convergence-order tables.
 
-The three cases share the time profile e^{-lam t} (t^delta + 1) (Case 3 adds
-an x-dependent modulation); delta in (1, 2) sets the strength of the initial
-layer.  Forcings are derived symbolically from the exact solutions so the
-discretization error can be measured exactly; a quadrature-based residual
-test in the suite re-derives them independently.
+Every case has the exact solution u = e^{-lam t} (t^delta a(x) + b(x)) for
+two space profiles a and b that vanish at x = 0 and x = 1; delta in (1, 2)
+sets the strength of the initial layer.  The tempered Caputo derivative maps
+e^{-lam t} t^delta to e^{-lam t} Gamma(delta+1)/Gamma(delta-alpha+1)
+t^(delta-alpha) and e^{-lam t} to 0, so with L v = v'' - v' one formula gives
+every forcing:
+
+    f = e^{-lam t} [(delta t^(delta-1) + gq t^(delta-alpha) - lam t^delta) a
+                    - t^delta La - lam b - Lb].
+
+A case supplies only (a, La) and (b, Lb).  The polynomial profiles are
+`numpy.polynomial.Polynomial` objects, whose derivatives come from `deriv`.
+A quadrature-based residual test in the suite re-derives every forcing
+independently.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 __all__ = [
     "ErrorRow",
@@ -42,15 +52,42 @@ class ManufacturedCase:
     phi: Callable
     forcing: Callable
     L: float = 1.0
-    T: float = 2.0
+
+
+def _poly(p: Polynomial) -> tuple[Callable, Callable]:
+    """A polynomial profile p and L p = p'' - p'."""
+    return p, p.deriv(2) - p.deriv()
+
+
+def _sin_x2(x):
+    return np.sin(np.pi * x**2)
+
+
+def _L_sin_x2(x):
+    return 2.0 * np.pi * (1.0 - x) * np.cos(np.pi * x**2) - 4.0 * (np.pi * x) ** 2 * _sin_x2(x)
+
+
+_X = Polynomial([0.0, 1.0])
+_Q = (_X * (1.0 - _X)) ** 4
+# L(e^{-x} q) = e^{-x} (q'' - 3 q' + 2 q)
+_LQ = _Q.deriv(2) - 3.0 * _Q.deriv() + 2.0 * _Q
+
+# case id -> ((a, La), (b, Lb))
+_PROFILES = {
+    0: (_poly(Polynomial([0.0])),) * 2,
+    1: (_poly((_X * (1.0 - _X)) ** 2),) * 2,
+    2: ((_sin_x2, _L_sin_x2),) * 2,
+    3: ((lambda x: np.exp(-x) * _Q(x), lambda x: np.exp(-x) * _LQ(x)), _poly(_Q)),
+}
 
 
 def case(id: int, alpha: float, lam: float = 1.0, delta: float = 1.8) -> ManufacturedCase:
-    """Build benchmark case 1, 2 or 3.
+    """Build benchmark case 0, 1, 2 or 3, u = e^{-lam t} (t^delta a + b).
 
-    Case 1: u = e^{-lam t} (t^delta + 1) x^2 (1-x)^2
-    Case 2: u = e^{-lam t} (t^delta + 1) sin(pi x^2)
-    Case 3: u = e^{-lam t} (e^{-x} t^delta + 1) x^4 (1-x)^4
+    Case 0: a = b = 0 (the zero solution)
+    Case 1: a = b = x^2 (1-x)^2
+    Case 2: a = b = sin(pi x^2)
+    Case 3: a = e^{-x} q, b = q, with q = x^4 (1-x)^4
 
     Raises ValueError naming the field unless 0 < alpha < 1, lam is finite
     and >= 0, and delta is finite and > 0 (delta <= 0 would make the exact
@@ -62,85 +99,23 @@ def case(id: int, alpha: float, lam: float = 1.0, delta: float = 1.8) -> Manufac
         raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be finite and > 0, got {delta!r}")
+    if id not in _PROFILES:
+        raise ValueError(f"unknown case id {id!r}; valid ids are 0, 1, 2, 3")
+    (a, La), (b, Lb) = _PROFILES[id]
     gq = math.gamma(delta + 1.0) / math.gamma(delta - alpha + 1.0)
 
-    def time_bracket(t):
-        # u_t + D^{alpha,lam} u contributions of the profile (t^delta + 1)
-        return (
-            -lam * (t**delta + 1.0)
-            + delta * t ** (delta - 1.0)
-            + gq * t ** (delta - alpha)
-        ) * np.exp(-lam * t)
+    def exact(x, t):
+        return np.exp(-lam * t) * (t**delta * a(x) + b(x))
 
-    if id == 1:
-
-        def g(x):
-            return x**2 * (1.0 - x) ** 2
-
-        def exact(x, t):
-            return np.exp(-lam * t) * (t**delta + 1.0) * g(x)
-
-        def phi(x):
-            return g(x)
-
-        def forcing(x, t):
-            spatial = (12.0 * x**2 - 12.0 * x + 2.0) - (
-                4.0 * x**3 - 6.0 * x**2 + 2.0 * x
-            )
-            return time_bracket(t) * g(x) - spatial * (t**delta + 1.0) * np.exp(-lam * t)
-
-    elif id == 2:
-
-        def g(x):
-            return np.sin(np.pi * x**2)
-
-        def exact(x, t):
-            return np.exp(-lam * t) * (t**delta + 1.0) * g(x)
-
-        def phi(x):
-            return g(x)
-
-        def forcing(x, t):
-            c = np.cos(np.pi * x**2)
-            spatial = (
-                -2.0 * np.pi * x * c
-                + 2.0 * np.pi * c
-                - 4.0 * np.pi**2 * x**2 * np.sin(np.pi * x**2)
-            )
-            return time_bracket(t) * g(x) - spatial * (t**delta + 1.0) * np.exp(-lam * t)
-
-    elif id == 3:
-
-        def q(x):
-            return x**4 * (1.0 - x) ** 4
-
-        def exact(x, t):
-            return np.exp(-lam * t) * (np.exp(-x) * t**delta + 1.0) * q(x)
-
-        def phi(x):
-            return q(x)
-
-        def forcing(x, t):
-            ex = np.exp(-x)
-            w = ex * t**delta + 1.0
-            t_part = (
-                -lam * w + delta * ex * t ** (delta - 1.0) + gq * ex * t ** (delta - alpha)
-            ) * np.exp(-lam * t) * q(x)
-            # q'' - q' = 12 x^2 (1-x)^2 (1-2x)^2 - 4 x^3 (1-x)^3 (3-2x)
-            qpp_m_qp = 12.0 * x**2 * (1.0 - x) ** 2 * (1.0 - 2.0 * x) ** 2 - 4.0 * x**3 * (
-                1.0 - x
-            ) ** 3 * (3.0 - 2.0 * x)
-            cross = 2.0 * x**4 * (1.0 - x) ** 4 - 8.0 * x**3 * (1.0 - x) ** 3 * (
-                1.0 - 2.0 * x
-            )
-            return (
-                t_part
-                - qpp_m_qp * w * np.exp(-lam * t)
-                - cross * ex * t**delta * np.exp(-lam * t)
-            )
-
-    else:
-        raise ValueError(f"unknown case id {id!r}; valid ids are 1, 2, 3")
+    def forcing(x, t):
+        # every product is (time factor) x (space profile), so on a table
+        # the in-place updates hold at most two full-size arrays at once
+        e = np.exp(-lam * t)
+        td = t**delta
+        f = e * (delta * t ** (delta - 1.0) + gq * t ** (delta - alpha) - lam * td) * a(x)
+        f -= e * td * La(x)
+        f -= e * (lam * b(x) + Lb(x))
+        return f
 
     return ManufacturedCase(
         id=int(id),
@@ -148,45 +123,43 @@ def case(id: int, alpha: float, lam: float = 1.0, delta: float = 1.8) -> Manufac
         lam=float(lam),
         delta=float(delta),
         exact=exact,
-        phi=phi,
+        phi=b,
         forcing=forcing,
     )
 
 
-def l2_norm(v: np.ndarray, h: float) -> float:
-    """Discrete L2 norm sqrt(h * sum v_j^2) over interior points."""
+def l2_norm(v: np.ndarray, h: float) -> np.floating | np.ndarray:
+    """Discrete L2 norm sqrt(h * sum v_j^2) over the interior points.
+
+    The sum runs over the last axis, so a stack of vectors gives a stack of
+    norms.
+    """
     v = np.asarray(v, dtype=float)
-    return math.sqrt(h * float(np.dot(v, v)))
+    return np.sqrt(h * np.einsum("...j,...j->...", v, v))
 
 
-def h1_norm(v: np.ndarray, h: float) -> float:
+def h1_norm(v: np.ndarray, h: float) -> np.floating | np.ndarray:
     """Discrete H1 norm: L2 part plus forward-difference seminorm.
 
     The vector is extended by the homogeneous boundary values, so both
-    boundary jumps contribute to the seminorm.
+    boundary jumps contribute to the seminorm.  Like `l2_norm` it reduces
+    over the last axis.
     """
     v = np.asarray(v, dtype=float)
-    padded = np.concatenate(([0.0], v, [0.0]))
-    d = np.diff(padded) / h
-    return math.sqrt(h * float(np.dot(v, v)) + h * float(np.dot(d, d)))
-
-
-_NORMS = {"l2": l2_norm, "h1": h1_norm}
+    d = np.diff(v, prepend=0.0, append=0.0) / h
+    return np.sqrt(h * np.einsum("...j,...j->...", v, v) + h * np.einsum("...j,...j->...", d, d))
 
 
 def max_error(traj, case_: ManufacturedCase, norm: str = "l2") -> float:
-    """Max over the time levels n >= 1 of ||U^n - u(., t_n)||."""
-    norm_fn = _NORMS[norm.lower()]
-    xi = traj.grid.x_interior
-    h = traj.grid.h
-    t = traj.mesh.t
-    worst = 0.0
-    for n, u_num in traj.snapshots.items():
-        if n == 0:
-            continue
-        err = norm_fn(u_num - case_.exact(xi, t[n]), h)
-        worst = max(worst, err)
-    return worst
+    """Max over the time levels n >= 1 of ||U^n - u(., t_n)||.
+
+    The exact solution is evaluated once, on all those levels together.
+    """
+    norm_fn = {"l2": l2_norm, "h1": h1_norm}[norm.lower()]
+    levels = [n for n in traj.snapshots if n > 0]
+    err = np.stack([traj.snapshots[n] for n in levels])
+    err -= case_.exact(traj.grid.x_interior[None, :], traj.mesh.t[levels, None])
+    return float(np.max(norm_fn(err, traj.grid.h)))
 
 
 @dataclass(frozen=True)

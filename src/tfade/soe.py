@@ -31,6 +31,7 @@ __all__ = [
     "SOEApprox",
     "build_soe",
     "certify_soe",
+    "check_epsilon",
     "eval_soe",
     "leggauss",
 ]
@@ -129,6 +130,13 @@ def certify_soe(soe: SOEApprox, n_samples: int = 10_000) -> CertReport:
     return CertReport(max_rel_error=float(rel[i]), argmax_t=float(t[i]))
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless epsilon lies in [1e-14, 1e-2), the targets
+    `build_soe` can certify in double precision; `SchemeConfig` uses it too."""
+    if not 1e-14 <= epsilon < 1e-2:
+        raise ValueError(f"epsilon must lie in [1e-14, 1e-2), got {epsilon!r}")
+
+
 def build_soe(
     alpha: float,
     epsilon: float,
@@ -150,13 +158,9 @@ def build_soe(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not 1e-14 <= epsilon < 1e-2:
-        raise ValueError(
-            f"epsilon must lie in [1e-14, 1e-2) (double-precision certifiable), "
-            f"got {epsilon!r}"
-        )
-    if not 0.0 < t_min < t_max:
-        raise ValueError(f"need 0 < t_min < t_max, got ({t_min!r}, {t_max!r})")
+    check_epsilon(epsilon)
+    if not 0.0 < t_min < t_max < math.inf:
+        raise ValueError(f"need 0 < t_min < t_max < inf, got t_min={t_min!r}, t_max={t_max!r}")
 
     beta = 1.0 + alpha
     gamma_beta = math.gamma(beta)

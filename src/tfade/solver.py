@@ -36,8 +36,8 @@ from tfade.operators import (
     live_exponents,
     local_coefficients,
 )
-from tfade.problems import l2_norm
-from tfade.soe import build_soe
+from tfade.problems import ManufacturedCase, l2_norm
+from tfade.soe import build_soe, check_epsilon
 
 __all__ = [
     "SchemeConfig",
@@ -92,19 +92,14 @@ class SchemeConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("M", "N"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {value!r}")
+        # the mesh and grid builders own the rules for T, N, r, L and M
+        graded_mesh(self.T, self.N, self.r)
+        uniform_grid(self.L, self.M)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if self.lam < 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam!r}")
-        for name in ("T", "L", "epsilon"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.r < 1.0:
-            raise ValueError(f"grading exponent r must be >= 1, got {self.r!r}")
+        check_epsilon(self.epsilon)
         if self.method not in ("fast", "direct"):
             raise ValueError(f"method must be 'fast' or 'direct', got {self.method!r}")
         tau_max = self.T * (1.0 - ((self.N - 1) / self.N) ** self.r)
@@ -231,11 +226,15 @@ def assemble_step(
     )
 
 
-def _coerce_problem(problem) -> tuple[Callable, Callable]:
-    if hasattr(problem, "phi") and hasattr(problem, "forcing"):
-        return problem.phi, problem.forcing
-    phi, f = problem
-    return phi, f
+def _coerce_problem(problem, config: SchemeConfig) -> tuple[Callable, Callable]:
+    """(phi, f) of ``problem``; a case built for other alpha, lam or L is refused."""
+    if not isinstance(problem, ManufacturedCase):
+        return problem
+    for name in ("alpha", "lam", "L"):
+        if getattr(problem, name) != getattr(config, name):
+            raise ValueError(f"{name} of the case ({getattr(problem, name)!r}) differs "
+                             f"from the config's ({getattr(config, name)!r})")
+    return problem.phi, problem.forcing
 
 
 def _forcing_table(f: Callable, xi: np.ndarray, tbar: np.ndarray) -> np.ndarray:
@@ -355,17 +354,18 @@ def _fast_history(
 def run(config: SchemeConfig, problem) -> Trajectory:
     """March the scheme from t = 0 to t = T.
 
-    ``problem`` is a ManufacturedCase or a (phi, f) pair; both callables
-    must be vectorized (phi over x, f over (x, t)).
+    ``problem`` is a ManufacturedCase built for the config's alpha, lam and
+    L, or a (phi, f) pair; both callables must be vectorized (phi over x, f
+    over (x, t)).
     History bookkeeping: before assembling step n >= 1 the accumulators are
     advanced with (U^n, U^{n-1}), which re-references them to tbar_n;
     step 0 has no history term.
     """
     start = time.perf_counter()
+    phi, f = _coerce_problem(problem, config)
     mesh = graded_mesh(config.T, config.N, config.r)
     grid = uniform_grid(config.L, config.M)
     xi = grid.x_interior
-    phi, f = _coerce_problem(problem)
 
     levels = np.empty((config.N + 1, config.M - 1))
     levels[0] = np.asarray(phi(xi), dtype=float)
@@ -419,9 +419,5 @@ def stability_probe(config: SchemeConfig, phi_a, phi_b, f) -> dict[str, float]:
         raise ValueError("stability_probe requires phi_a != phi_b on the grid")
     traj_a = run(config, (phi_a, f))
     traj_b = run(config, (phi_b, f))
-    worst = 0.0
-    for n, ua in traj_a.snapshots.items():
-        if n == 0:
-            continue
-        worst = max(worst, l2_norm(ua - traj_b.snapshots[n], grid.h) / d0)
-    return {"max_ratio": worst}
+    diff = np.stack([traj_a.snapshots[n] - traj_b.snapshots[n] for n in range(1, config.N + 1)])
+    return {"max_ratio": float(np.max(l2_norm(diff, grid.h))) / d0}

@@ -138,6 +138,13 @@ class TestSolve:
         u_col = [float(l.split(",")[2]) for l in lines[header_idx + 1:]]
         assert all(v == 0.0 for v in u_col)
 
+    def test_zero_problem_reports_zero_error(self, tmp_path, capsys):
+        rc = cli.main([
+            "solve", "--case", "0", "--N", "8", "--M", "8", "--out", str(tmp_path / "z.csv"),
+        ])
+        assert rc == 0
+        assert "final-level L2 error: 0.000000e+00" in capsys.readouterr().out
+
     def test_case2_boundaries_exact_zero(self, tmp_path):
         out = tmp_path / "c2.csv"
         rc = cli.main([
@@ -231,8 +238,9 @@ class TestInvalidInput:
     @pytest.mark.parametrize(
         "flag,value",
         [
-            ("--lambda", "nan"), ("--T", "inf"), ("--r", "nan"), ("--L", "inf"),
+            ("--lambda", "nan"), ("--T", "inf"), ("--r", "nan"),
             ("--delta", "inf"), ("--delta", "nan"), ("--delta", "-0.2"),
+            ("--eps", "0.5"), ("--eps", "1e-16"),
         ],
     )
     def test_non_finite_solve_flag(self, tmp_path, capsys, flag, value):
@@ -274,7 +282,7 @@ class TestInvalidInput:
 
 
 # RunSpec keys a config file may set, by the type their values must have
-_FLOAT_KEYS = ["alpha", "lam", "delta", "r", "epsilon", "T", "L"]
+_FLOAT_KEYS = ["alpha", "lam", "delta", "r", "epsilon", "T"]
 _OPTIONAL_FLOAT_KEYS = ["t_min", "t_max"]
 _INT_KEYS = ["case_id", "samples", "reps"]
 _OPTIONAL_INT_KEYS = ["direct_max_n"]
@@ -341,6 +349,19 @@ class TestConfigFileTypes:
         lines = stderr.getvalue().strip().splitlines()
         assert len(lines) == 1
         assert key in lines[0]
+
+    @pytest.mark.parametrize("key", ["alpah", "L"])
+    def test_unknown_key_is_a_usage_error(self, tmp_path, capsys, key):
+        """A misspelt or retired key is refused, not silently ignored."""
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({key: 0.25, "n_list": [16], "m_list": [8]}))
+        with mock.patch.object(cli, "run", side_effect=AssertionError("reached the solver")):
+            with pytest.raises(SystemExit) as err:
+                cli.main(["solve", "--case", "1", "--config", str(cfg),
+                          "--out", str(tmp_path / "x.csv")])
+        assert err.value.code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and repr(key) in lines[0]
 
     @pytest.mark.parametrize("values", [
         {"alpha": 1, "lam": 0, "T": 2},

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,10 @@ class TestGradedMesh:
             graded_mesh(2.0, 1, 3.0)
         with pytest.raises(ValueError):
             graded_mesh(-1.0, 4, 3.0)
+        with pytest.raises(ValueError, match="^T "):
+            graded_mesh(math.inf, 8, 3.0)
+        with pytest.raises(ValueError, match=r"\br\b"):
+            graded_mesh(2.0, 8, math.inf)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -108,3 +114,5 @@ class TestUniformGrid:
             uniform_grid(0.0, 4)
         with pytest.raises(ValueError):
             uniform_grid(1.0, 1)
+        with pytest.raises(ValueError, match="^L "):
+            uniform_grid(math.inf, 8)

@@ -22,19 +22,25 @@ class TestCases:
             assert abs(mc.exact(np.array([1.0]), t)[0]) <= 1e-15
             assert abs(mc.exact(np.array([0.0]), t)[0]) == 0.0
 
-    @pytest.mark.parametrize("cid", [1, 2, 3])
+    @pytest.mark.parametrize("cid", [0, 1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
     def test_initial_compatibility(self, cid, alpha):
         mc = case(cid, alpha)
         x = np.linspace(0.0, 1.0, 37)
         assert np.max(np.abs(mc.exact(x, 0.0) - mc.phi(x))) <= 1e-14
 
-    @pytest.mark.parametrize("cid", [1, 2, 3])
+    @pytest.mark.parametrize("cid", [0, 1, 2, 3])
     def test_boundary_zero(self, cid):
         mc = case(cid, 0.5)
         for t in (0.1, 1.0, 2.0):
             assert abs(mc.exact(np.array([0.0]), t)[0]) <= 1e-15
             assert abs(mc.exact(np.array([1.0]), t)[0]) <= 1e-15
+
+    def test_case0_is_the_zero_solution(self):
+        mc = case(0, 0.5)
+        x, t = np.linspace(0.0, 1.0, 9)[None, :], np.linspace(0.1, 2.0, 5)[:, None]
+        assert np.all(mc.exact(x, t) == 0.0) and np.all(mc.forcing(x, t) == 0.0)
+        assert mc.forcing(x, t).shape == (5, 9)
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
@@ -149,6 +155,14 @@ class TestNorms:
         l2_sq = h * float(np.dot(v, v))
         assert math.isclose(h1_norm(v, h) ** 2, l2_sq + semi_exact, rel_tol=1e-13)
 
+    @pytest.mark.parametrize("norm", [l2_norm, h1_norm])
+    def test_stack_gives_one_norm_per_row(self, norm):
+        v = np.random.default_rng(1).standard_normal((4, 13))
+        stacked = norm(v, 0.07)
+        assert stacked.shape == (4,)
+        for row, value in zip(v, stacked):
+            assert math.isclose(value, norm(row, 0.07), rel_tol=1e-14)
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
     def test_h1_dominates_l2(self, seed):
@@ -168,6 +182,17 @@ class TestMaxError:
             traj.snapshots[n] = mc.exact(grid.x_interior, mesh.t[n])
         assert max_error(traj, mc, "l2") == 0.0
         assert max_error(traj, mc, "h1") == 0.0
+
+    @pytest.mark.parametrize("norm", ["l2", "h1"])
+    def test_matches_a_loop_over_levels(self, norm):
+        mc = case(3, 0.5)
+        traj = run(SchemeConfig(alpha=0.5, lam=1.0, M=20, N=16), mc)
+        fn = {"l2": l2_norm, "h1": h1_norm}[norm]
+        loop = max(
+            fn(traj.snapshots[n] - mc.exact(traj.grid.x_interior, traj.mesh.t[n]), traj.grid.h)
+            for n in range(1, 17)
+        )
+        assert math.isclose(max_error(traj, mc, norm), loop, rel_tol=1e-12)
 
 
 class TestOrderTable:

@@ -110,6 +110,8 @@ class TestBuildSOE:
             build_soe(0.5, 1e-10, 2.0, 1e-4)  # t_min >= t_max
         with pytest.raises(ValueError):
             build_soe(1.5, 1e-10, 1e-4, 2.0)
+        with pytest.raises(ValueError, match="t_max"):
+            build_soe(0.5, 1e-10, 1e-3, math.inf)
 
 
 class TestCertify:

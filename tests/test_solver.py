@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -52,7 +53,7 @@ class TestConfig:
         "field,value",
         [("lam", math.nan), ("L", math.inf), ("T", math.inf), ("r", math.nan),
          ("alpha", -math.inf), ("epsilon", math.nan), ("M", 8.5), ("N", 16.0),
-         ("N", True)],
+         ("N", True), ("epsilon", 0.5)],
     )
     def test_bad_field_named(self, field, value):
         good = dict(alpha=0.5, lam=1.0, M=8, N=16)
@@ -246,6 +247,21 @@ class TestRun:
         traj = run(cfg, (lambda x: np.zeros_like(x), lambda x, t: np.zeros_like(x)))
         for n in range(17):
             assert np.all(traj.snapshots[n] == 0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "lam", "L"])
+    def test_case_for_another_problem_refused(self, field, monkeypatch):
+        # a case whose alpha, lam or L differs from the config solves another
+        # problem; run names the field before it builds any table (the
+        # mesh builder is gone, so reaching it would be a TypeError)
+        cfg = SchemeConfig(alpha=0.5, lam=2.0, M=8, N=8)
+        monkeypatch.setattr(solver_mod, "graded_mesh", None)
+        mc = {
+            "alpha": case(1, 0.25, lam=2.0),
+            "lam": case(1, 0.5, lam=1.0),
+            "L": dataclasses.replace(case(1, 0.5, lam=2.0), L=2.0),
+        }[field]
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            run(cfg, mc)
 
     def test_scalar_forcing_pair_accepted(self):
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=8, N=8)
