@@ -63,9 +63,11 @@ _SERIES_TERMS = 18
 # and letting it linger near the subnormal range makes every later pass over
 # the history table an order of magnitude slower
 _EXP_FLUSH = 345.0
-# elements per block of the (rows x n_exp) moment tables: three 512 KB
-# blocks and the intermediates of one stay within a few MB
-TABLE_BLOCK = 65_536
+# elements per block of the (rows x n_exp) moment tables: three 128 KB
+# blocks and the intermediates of one stay within 2 MB.  With n_exp near 110
+# a block covers about 150 steps, so even a small N fills whole blocks and
+# the fast method's peak does not grow with N
+TABLE_BLOCK = 16_384
 # Gauss-Legendre nodes per history interval of the direct method
 _DIRECT_NODES = 32
 # graded panels and nodes per panel of `oracle_caputo`

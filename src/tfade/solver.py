@@ -109,7 +109,7 @@ class SchemeConfig:
                 f"tau_max^(2-2 alpha) = {tau_max ** (2 - 2 * self.alpha):.4f} >= 1/3 "
                 f"(N={self.N}, r={self.r}); proceeding, the bound is not necessary",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 
@@ -340,6 +340,7 @@ def _fast_history(
         nonlocal lo, hi, lam1, lam2, decay
         a = live[n]
         if n >= hi:
+            lam1 = lam2 = decay = None  # free the spent block before the next
             lo, hi = n, min(n + max(1, TABLE_BLOCK // max(a, 1)), mesh.N)
             lam1, lam2, decay = lambda_tables(mesh, exponents[:a], lam, lo, hi)
         k = n - lo
@@ -366,12 +367,16 @@ def run(config: SchemeConfig, problem) -> Trajectory:
     mesh = graded_mesh(config.T, config.N, config.r)
     grid = uniform_grid(config.L, config.M)
     xi = grid.x_interior
+    alpha, lam = config.alpha, config.lam
+    if config.method == "fast":
+        # built before the O(N) tables, so its certification scratch does
+        # not stack on them
+        soe = build_soe(alpha, config.epsilon, *soe_interval(mesh))
 
     levels = np.empty((config.N + 1, config.M - 1))
     levels[0] = np.asarray(phi(xi), dtype=float)
     f_table = _forcing_table(f, xi, mesh.tbar)
 
-    alpha, lam = config.alpha, config.lam
     coeffs = local_coefficients(mesh, alpha, lam)
     # the history bracket enters the right side as alpha/Gamma(1-alpha) times
     # the bare kernel sums; fold that into the per-run tables
@@ -379,7 +384,6 @@ def run(config: SchemeConfig, problem) -> Trajectory:
 
     n_exp_used = 0
     if config.method == "fast":
-        soe = build_soe(alpha, config.epsilon, *soe_interval(mesh))
         n_exp_used = soe.n_exp
         history = _fast_history(mesh, soe.exponents, hist_scale * soe.weights, lam, levels)
     else:

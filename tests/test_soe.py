@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfade.mesh import graded_mesh, soe_interval
 from tfade.soe import (
     SOEApprox,
     build_soe,
@@ -14,10 +15,12 @@ from tfade.soe import (
     leggauss,
 )
 
+# the kernel interval of the benchmark's wide_space solve (N=512)
+WIDE_SPACE = soe_interval(graded_mesh(2.0, 512, 3.0))
+
 
 class TestGaussLegendre:
-    """The cached rule `build_soe` and the direct quadrature draw on: its
-    increasing nodes make the exponents increasing."""
+    """The cached rule the direct quadrature and `oracle_caputo` draw on."""
 
     def test_order_one_is_midpoint(self):
         x, w = leggauss(1)
@@ -85,17 +88,33 @@ class TestBuildSOE:
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
 
-    def test_monotone_refinement(self):
-        # raising the per-panel node cap never worsens the certificate
-        errs = []
-        for cap in (8, 16, 64):
-            soe = build_soe(0.5, 1e-6, 1e-3, 2.0, max_nodes_per_panel=cap)
-            errs.append(certify_soe(soe, 2000).max_rel_error)
-        assert errs[1] <= errs[0] * (1 + 1e-12)
-        assert errs[2] <= errs[1] * (1 + 1e-12)
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-10, 1e-14])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    def test_certified_and_positive(self, soe_cache, alpha, eps):
+        soe = soe_cache(alpha, eps, *WIDE_SPACE)
+        assert certify_soe(soe, n_samples=10_000).max_rel_error <= eps
+        assert np.all(soe.weights > 0)
+        assert np.all(np.diff(soe.exponents) > 0)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-10, 1e-14])
+    def test_off_the_certification_grid(self, soe_cache, eps):
+        # geometric midpoints of a 50,001-point grid: none of them is a
+        # point of the 4096- or 10,000-point certification grids
+        soe = soe_cache(0.5, eps, *WIDE_SPACE)
+        edges = np.geomspace(soe.t_min, soe.t_max, 50_001)
+        t = np.sqrt(edges[:-1] * edges[1:])
+        k = t ** (-1.5)
+        assert np.max(np.abs(eval_soe(soe, t) - k) / k) <= eps
+
+    def test_size(self, soe_cache):
+        # the trapezoidal rule needs about 110 terms where the
+        # Gauss-Legendre panels needed 648 (N=512) and 800 (N=4096)
+        assert soe_cache(0.5, 1e-10, *WIDE_SPACE).n_exp <= 130
+        assert soe_cache(0.5, 1e-10, *soe_interval(graded_mesh(2.0, 4096, 3.0))).n_exp <= 150
 
     def test_growth_law(self, soe_cache):
-        # halving t_min costs at most one extra dyadic panel's nodes (<= 64)
+        # halving t_min moves the upper end of the rule by ln 2, which adds
+        # ln 2 / h terms, a handful at these targets (<= 64)
         sizes = [soe_cache(0.5, 1e-10, t, 2.0).n_exp for t in (1e-3, 5e-4, 2.5e-4)]
         assert sizes[1] - sizes[0] <= 64
         assert sizes[2] - sizes[1] <= 64
@@ -121,9 +140,9 @@ class TestCertify:
 
     def test_mutation_detected(self, soe_cache):
         # Deleting a mid-spectrum term (the largest contributor at the
-        # geometric-mean argument) must blow the certificate.  The literal
-        # last term is below the drop threshold's significance by
-        # construction, so corruption is probed where it matters.
+        # geometric-mean argument) must blow the certificate.  The end
+        # terms carry only the tail budgets, so corruption is probed where
+        # it matters.
         soe = soe_cache(0.5, 1e-10, 1e-3, 2.0)
         t_mid = math.sqrt(soe.t_min * soe.t_max)
         contrib = soe.weights * np.exp(-soe.exponents * t_mid)

@@ -49,6 +49,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             SchemeConfig(alpha=0.5, lam=1.0, M=8, N=8, method="magic")
 
+    def test_stability_warning_names_the_caller(self):
+        # the warning points at the line that built the config, not into
+        # the dataclass-generated __init__
+        with pytest.warns(RuntimeWarning, match="stability condition") as rec:
+            SchemeConfig(alpha=0.5, lam=1.0, M=8, N=16)
+        assert rec[0].filename == __file__
+
     @pytest.mark.parametrize(
         "field,value",
         [("lam", math.nan), ("L", math.inf), ("T", math.inf), ("r", math.nan),
