@@ -131,19 +131,15 @@ def lambda_tables(
     lam1 = np.zeros(shape)
     lam2 = np.zeros(shape)
     decay = np.ones(shape)
-    mu = lam + exponents
-    # chunked over rows to keep the (rows x n_exp) intermediates cache-sized
-    chunk = max(1, TABLE_BLOCK // max(len(exponents), 1))
-    for a in range(max(lo, 1), hi, chunk):
-        b = min(a + chunk, hi)
-        tau_n = mesh.tau[a - 1 : b - 1, None]
-        tau_np1 = mesh.tau[a:b, None]
-        z = tau_n * mu[None, :]
-        f1, f2 = _phi_pair(z)
-        damp = tau_n * _exp_neg(0.5 * tau_np1 * mu[None, :])
-        lam1[a - lo : b - lo] = damp * f1
-        lam2[a - lo : b - lo] = damp * f2
-        decay[a - lo : b - lo] = _exp_neg(0.5 * (tau_n + tau_np1) * mu[None, :])
+    mu = lam + exponents[None, :]
+    rows = np.arange(max(lo, 1), hi)  # row 0 keeps its zero moments and unit decay
+    tau_n = mesh.tau[rows - 1, None]
+    tau_np1 = mesh.tau[rows, None]
+    f1, f2 = _phi_pair(tau_n * mu)
+    damp = tau_n * _exp_neg(0.5 * tau_np1 * mu)
+    lam1[rows - lo] = damp * f1
+    lam2[rows - lo] = damp * f2
+    decay[rows - lo] = _exp_neg(0.5 * (tau_n + tau_np1) * mu)
     return lam1, lam2, decay
 
 

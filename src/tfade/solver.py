@@ -50,10 +50,11 @@ __all__ = [
     "thomas_solve",
 ]
 
-# the march checks its new levels for NaN/Inf in blocks of this many
-# steps: a check per step would cost as much as the rest of a small step's
-# O(M) work, and a block bounds the steps marched past a failure
-_FINITE_BLOCK = 32
+# level elements (512 KB) per block of steps of the march, which evaluates
+# the forcing and checks for NaN/Inf once per block.  Each forcing call
+# evaluates the space profiles again: smaller blocks at large M, or a fixed
+# step count at small M, cost measurable time
+_BLOCK = 65_536
 
 
 class SolveError(RuntimeError):
@@ -90,10 +91,11 @@ class SchemeConfig:
     def __post_init__(self):
         for name in ("alpha", "lam", "T", "L", "r", "epsilon"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         # the mesh and grid builders own the rules for T, N, r, L and M
-        graded_mesh(self.T, self.N, self.r)
+        mesh = graded_mesh(self.T, self.N, self.r)
         uniform_grid(self.L, self.M)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
@@ -102,7 +104,7 @@ class SchemeConfig:
         check_epsilon(self.epsilon)
         if self.method not in ("fast", "direct"):
             raise ValueError(f"method must be 'fast' or 'direct', got {self.method!r}")
-        tau_max = self.T * (1.0 - ((self.N - 1) / self.N) ** self.r)
+        tau_max = mesh.tau[-1]
         if tau_max ** (2.0 - 2.0 * self.alpha) >= 1.0 / 3.0:
             warnings.warn(
                 f"largest step violates the sufficient stability condition: "
@@ -237,27 +239,6 @@ def _coerce_problem(problem, config: SchemeConfig) -> tuple[Callable, Callable]:
     return problem.phi, problem.forcing
 
 
-def _forcing_table(f: Callable, xi: np.ndarray, tbar: np.ndarray) -> np.ndarray:
-    """Evaluate f at all (x_j, tbar_n) as an (N, M-1) table.
-
-    Tries one broadcast evaluation first; falls back to a per-step loop for
-    callables that do not vectorize over both arguments.
-    """
-    n_steps, m = len(tbar), len(xi)
-    try:
-        table = np.asarray(f(xi[None, :], tbar[:, None]), dtype=float)
-        if table.shape == (n_steps, m):
-            return table
-    except (TypeError, ValueError):
-        # what scalar-only code raises on arrays (float() of an array, the
-        # truth value of an array); any other error is a fault in f
-        pass
-    table = np.empty((n_steps, m))
-    for n, t in enumerate(tbar):
-        table[n] = np.broadcast_to(np.asarray(f(xi, t), dtype=float), (m,))
-    return table
-
-
 def _raise_if_nonfinite(levels: np.ndarray, start: int, stop: int) -> None:
     """Raise SolveError naming the step that first made levels[start:stop] non-finite."""
     finite = np.isfinite(levels[start:stop]).all(axis=1)
@@ -269,7 +250,8 @@ def _raise_if_nonfinite(levels: np.ndarray, start: int, stop: int) -> None:
 
 def _march(
     levels: np.ndarray,
-    f_table: np.ndarray,
+    f: Callable,
+    xi: np.ndarray,
     mesh: TemporalMesh,
     h: float,
     coeffs: LocalCoefficients,
@@ -280,14 +262,16 @@ def _march(
     ``history(n)`` returns the history sum of step n >= 1 already divided by
     Gamma(1 - alpha), i.e. its whole contribution to the right side.
     Everything else that does not change within a run is held here once:
-    the off-diagonals, the diagonal scalars, the explicit stencil with the
-    local coefficient folded into its centre, and the forcing with the
-    initial-value term added (``f_table`` is updated in place).  A step then
-    costs its history term, one three-point stencil, a few O(M) vector
-    updates and one LAPACK tridiagonal solve.  New levels are checked for
-    NaN/Inf every `_FINITE_BLOCK` steps and at the end.
+    the off-diagonals, the diagonal scalars and the explicit stencil with the
+    local coefficient folded into its centre.  The steps go in blocks of
+    about `_BLOCK` elements.  Each block calls ``f`` once, vectorized over
+    the interior points ``xi`` and its own half levels tbar_n, adds the
+    initial-value term to that forcing, and checks its new levels for
+    NaN/Inf after its last step.  A step then costs its history term, one
+    three-point stencil, a few O(M) vector updates and one LAPACK
+    tridiagonal solve.
     """
-    n_steps, m = f_table.shape
+    n_steps, m = mesh.N, levels.shape[1]
     inv_h2 = 1.0 / (h * h)
     lo, up = _offdiagonals(h)
     lower = np.full(m - 1, lo)
@@ -300,24 +284,26 @@ def _march(
     stencil[:, 0] = -lo
     stencil[:, 1] = 1.0 / mesh.tau - inv_h2 - coeffs.c_expl
     stencil[:, 2] = -up
-    f_table += np.outer(coeffs.inv_gamma1 * coeffs.bndry, levels[0])
+    u0_weight = coeffs.inv_gamma1 * coeffs.bndry
     pad = np.zeros(m + 2)
-    checked = 0  # levels[:checked] are known to be finite
-    for n in range(n_steps):
-        pad[1:-1] = levels[n]
-        rhs = np.correlate(pad, stencil[n], "valid")
-        rhs += f_table[n]
-        if n >= 1:
-            rhs += history(n)
-        diag.fill(diag_n[n])
-        try:
-            u_next = _gtsv(lower, diag, upper, rhs)
-        except SolveError as exc:
-            raise SolveError(f"{exc} while solving step {n}", step=n) from exc
-        levels[n + 1] = u_next
-        if n + 2 - checked >= _FINITE_BLOCK or n + 1 == n_steps:
-            _raise_if_nonfinite(levels, checked, n + 2)
-            checked = n + 2
+    rows = max(1, _BLOCK // m)
+    for first in range(0, n_steps, rows):
+        last = min(first + rows, n_steps)
+        forcing = np.outer(u0_weight[first:last], levels[0])
+        forcing += f(xi[None, :], mesh.tbar[first:last, None])
+        for n in range(first, last):
+            pad[1:-1] = levels[n]
+            rhs = np.correlate(pad, stencil[n], "valid")
+            rhs += forcing[n - first]
+            if n >= 1:
+                rhs += history(n)
+            diag.fill(diag_n[n])
+            try:
+                u_next = _gtsv(lower, diag, upper, rhs)
+            except SolveError as exc:
+                raise SolveError(f"{exc} while solving step {n}", step=n) from exc
+            levels[n + 1] = u_next
+        _raise_if_nonfinite(levels, first, last + 1)
 
 
 def _fast_history(
@@ -357,7 +343,9 @@ def run(config: SchemeConfig, problem) -> Trajectory:
 
     ``problem`` is a ManufacturedCase built for the config's alpha, lam and
     L, or a (phi, f) pair; both callables must be vectorized (phi over x, f
-    over (x, t)).
+    over (x, t)).  f is called once per block of steps, with a (1, M-1) row
+    of points and a (k, 1) column of half levels; its result must broadcast
+    to (k, M-1), so a scalar or an (M-1)-row does too.
     History bookkeeping: before assembling step n >= 1 the accumulators are
     advanced with (U^n, U^{n-1}), which re-references them to tbar_n;
     step 0 has no history term.
@@ -375,7 +363,6 @@ def run(config: SchemeConfig, problem) -> Trajectory:
 
     levels = np.empty((config.N + 1, config.M - 1))
     levels[0] = np.asarray(phi(xi), dtype=float)
-    f_table = _forcing_table(f, xi, mesh.tbar)
 
     coeffs = local_coefficients(mesh, alpha, lam)
     # the history bracket enters the right side as alpha/Gamma(1-alpha) times
@@ -394,7 +381,7 @@ def run(config: SchemeConfig, problem) -> Trajectory:
         def history(n: int) -> np.ndarray:
             return _direct_history(nodes, hats, tbar[n], lam, alpha, levels, n)
 
-    _march(levels, f_table, mesh, grid.h, coeffs, history)
+    _march(levels, f, xi, mesh, grid.h, coeffs, history)
 
     wall = time.perf_counter() - start
     return Trajectory(
@@ -407,21 +394,23 @@ def run(config: SchemeConfig, problem) -> Trajectory:
     )
 
 
-def stability_probe(config: SchemeConfig, phi_a, phi_b, f) -> dict[str, float]:
-    """Ratio of perturbation growth for two initial data under identical f.
+def stability_probe(config: SchemeConfig, phi_a, phi_b) -> dict[str, float]:
+    """Ratio of perturbation growth for two initial data under one forcing.
 
     Returns {"max_ratio": max_n ||U^n_a - U^n_b|| / ||U^0_a - U^0_b||} in the
     discrete L2 norm; the scheme's stability bound says this never exceeds 1.
+    The scheme is linear, so U_a - U_b is the solution from phi_a - phi_b
+    with zero forcing: one solve gives it, and the forcing, whatever it is,
+    drops out of the ratio.
     """
     grid = uniform_grid(config.L, config.M)
-    xi = grid.x_interior
-    d0 = l2_norm(
-        np.asarray(phi_a(xi), dtype=float) - np.asarray(phi_b(xi), dtype=float),
-        grid.h,
-    )
+
+    def phi(x):
+        return np.asarray(phi_a(x), dtype=float) - np.asarray(phi_b(x), dtype=float)
+
+    d0 = l2_norm(phi(grid.x_interior), grid.h)
     if d0 == 0.0:
         raise ValueError("stability_probe requires phi_a != phi_b on the grid")
-    traj_a = run(config, (phi_a, f))
-    traj_b = run(config, (phi_b, f))
-    diff = np.stack([traj_a.snapshots[n] - traj_b.snapshots[n] for n in range(1, config.N + 1)])
+    traj = run(config, (phi, lambda x, t: 0.0))
+    diff = np.stack([traj.snapshots[n] for n in range(1, config.N + 1)])
     return {"max_ratio": float(np.max(l2_norm(diff, grid.h))) / d0}

@@ -60,7 +60,7 @@ class TestConfig:
         "field,value",
         [("lam", math.nan), ("L", math.inf), ("T", math.inf), ("r", math.nan),
          ("alpha", -math.inf), ("epsilon", math.nan), ("M", 8.5), ("N", 16.0),
-         ("N", True), ("epsilon", 0.5)],
+         ("N", True), ("epsilon", 0.5), ("lam", True), ("T", True)],
     )
     def test_bad_field_named(self, field, value):
         good = dict(alpha=0.5, lam=1.0, M=8, N=16)
@@ -279,15 +279,15 @@ class TestRun:
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=8, N=8, method="direct")
 
         def bad_forcing(x, t):
-            return np.full_like(x, np.nan) if t > 1.0 else np.zeros_like(x)
+            return np.where(t > 1.0, np.nan, 0.0) * np.ones_like(x)
 
         with pytest.raises(SolveError) as err:
             run(cfg, (lambda x: np.zeros_like(x), bad_forcing))
         assert err.value.step is not None
 
     def test_forcing_fault_propagates(self):
-        # an error other than the TypeError/ValueError of a scalar-only
-        # callable is a fault in the forcing, not a reason to loop per step
+        # an error the forcing raises ends the solve at once: its first
+        # call, over (points, half levels), is its only one
         calls = []
 
         def faulty(x, t):
@@ -301,28 +301,21 @@ class TestRun:
             run(cfg, (lambda x: np.zeros_like(x), faulty))
         assert calls == [2]
 
-    def test_scalar_only_forcing_falls_back_per_step(self):
-        cfg = SchemeConfig(alpha=0.5, lam=1.0, M=8, N=16)
-        mc = case(1, 0.5)
-
-        def scalar_t(x, t):
-            return mc.forcing(x, float(t))  # TypeError on a (N, 1) array
-
-        a = run(cfg, (mc.phi, scalar_t))
-        b = run(cfg, mc)
-        for n in range(17):
-            assert np.allclose(a.snapshots[n], b.snapshots[n], rtol=1e-12, atol=1e-15)
-
     def test_table_block_size_leaves_levels_unchanged(self, monkeypatch):
         # the fast march makes its moments in blocks of rows over the live
-        # exponents; one row per block must give the very same levels
-        cfg = SchemeConfig(alpha=0.5, lam=1.0, M=12, N=200)
+        # exponents, and both methods evaluate the forcing and check for
+        # NaN/Inf in blocks of steps; one row or step per block must give
+        # the very same levels
         mc = case(2, 0.5)
-        blocked = run(cfg, mc)
+        cfgs = [SchemeConfig(alpha=0.5, lam=1.0, M=12, N=200, method=method)
+                for method in ("fast", "direct")]
+        blocked = [run(cfg, mc) for cfg in cfgs]
         monkeypatch.setattr(solver_mod, "TABLE_BLOCK", 1)
-        rows = run(cfg, mc)
-        for n in range(cfg.N + 1):
-            assert np.array_equal(blocked.snapshots[n], rows.snapshots[n])
+        monkeypatch.setattr(solver_mod, "_BLOCK", 1)
+        for cfg, ref in zip(cfgs, blocked):
+            rows = run(cfg, mc)
+            for n in range(cfg.N + 1):
+                assert np.array_equal(ref.snapshots[n], rows.snapshots[n])
 
     @pytest.mark.parametrize("method", ["direct", "fast"])
     def test_numpy_march_matches_step_reference(self, method):
@@ -410,16 +403,16 @@ class TestStabilityProbe:
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=16, N=8)
         mc = case(1, 0.5)
         with pytest.raises(ValueError):
-            stability_probe(cfg, mc.phi, mc.phi, mc.forcing)
+            stability_probe(cfg, mc.phi, mc.phi)
 
     def test_case1_contractive(self):
         mc = case(1, 0.5)
         cfg = SchemeConfig(alpha=0.5, lam=1.0, M=64, N=64)
         pert = lambda x: mc.phi(x) + 1e-3 * np.sin(np.pi * x)
-        assert stability_probe(cfg, mc.phi, pert, mc.forcing)["max_ratio"] <= 1 + 1e-10
+        assert stability_probe(cfg, mc.phi, pert)["max_ratio"] <= 1 + 1e-10
 
     def test_classical_caputo_limit(self):
         mc = case(1, 0.5, lam=0.0)
         cfg = SchemeConfig(alpha=0.5, lam=0.0, M=32, N=32)
         pert = lambda x: mc.phi(x) + 1e-3 * np.sin(np.pi * x)
-        assert stability_probe(cfg, mc.phi, pert, mc.forcing)["max_ratio"] <= 1 + 1e-10
+        assert stability_probe(cfg, mc.phi, pert)["max_ratio"] <= 1 + 1e-10
