@@ -18,11 +18,8 @@ import argparse
 import json
 import os
 import sys
-import time
-import types
-import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,11 +33,23 @@ EXIT_NUMERICAL = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1.
+
+    ``options`` maps the dest of each flag that a config file may set to the
+    Action that `add_option` made for it.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.options: dict[str, argparse.Action] = {}
+
+    def add_option(self, *flags, **kwargs) -> argparse.Action:
+        action = self.add_argument(*flags, **kwargs)
+        self.options[action.dest] = action
+        return action
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message} (see {self.prog} -h)\n")
         raise SystemExit(EXIT_USAGE)
 
 
@@ -59,42 +68,6 @@ class TimingRow:
     n_exp: int | None
 
 
-@dataclass
-class RunSpec:
-    """Fully resolved parameters of one CLI invocation (seed-free)."""
-
-    command: str
-    case_id: int = 1
-    alpha: float = 0.5
-    lam: float = 1.0
-    delta: float = 1.8
-    r: float = 3.0
-    epsilon: float = 1e-10
-    method: str = "fast"
-    n_list: list[int] = field(default_factory=list)
-    m_list: list[int] = field(default_factory=list)
-    T: float = 2.0
-    norm: str = "l2"
-    out: str | None = None
-    t_min: float | None = None
-    t_max: float | None = None
-    samples: int = 10_000
-    levels: list[int] | None = None
-    reps: int = 3
-    direct_max_n: int | None = None
-
-    def header_lines(self) -> list[str]:
-        return [
-            f"# tfade {self.command}",
-            "# alpha={} lambda={} delta={} r={} eps={} method={} M={} N={} T={} case={} norm={}".format(
-                self.alpha, self.lam, self.delta, self.r, self.epsilon, self.method,
-                ",".join(map(str, self.m_list)) or "-",
-                ",".join(map(str, self.n_list)) or "-",
-                self.T, self.case_id, self.norm,
-            ),
-        ]
-
-
 def _int_list(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v.strip()]
@@ -102,226 +75,249 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from exc
 
 
-def _build_parser() -> _Parser:
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return int(text)
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and its subcommand parsers, by name.
+
+    Every option is declared here once, with its default, type and choices;
+    a config file only sets defaults on these parsers (`_parse`).
+    """
     parser = _Parser(prog="tfade", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Parser] = {}
 
-    def add_common(p: _Parser):
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON file with defaults for any flag; flags win")
-        p.add_argument("--case", dest="case_id", type=int, default=None,
-                       help="benchmark case id (1|2|3; 0 = the zero solution, solve only)")
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--r", type=float, default=None, help="mesh grading exponent")
-        p.add_argument("--eps", dest="epsilon", type=float, default=None,
-                       help="kernel compression accuracy target, in [1e-14, 1e-2)")
-        p.add_argument("--method", choices=("fast", "direct", "both"), default=None)
-        p.add_argument("--N", dest="n_list", type=_int_list, default=None,
-                       help="comma list of time step counts")
-        p.add_argument("--M", dest="m_list", type=_int_list, default=None,
-                       help="comma list of space cell counts")
-        p.add_argument("--T", type=float, default=None)
-        p.add_argument("--norm", choices=("l2", "h1"), default=None)
-        p.add_argument("--out", type=str, default=None, help="output CSV path")
+    def add_command(name: str, help: str) -> _Parser:
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="JSON file with defaults for any flag; flags win")
+        p.add_option("--case", dest="case_id", type=int, default=1,
+                     help="benchmark case id (1|2|3; 0 = the zero solution, solve only)")
+        p.add_option("--alpha", type=float, default=0.5)
+        p.add_option("--lambda", dest="lam", type=float, default=1.0)
+        p.add_option("--delta", type=float, default=1.8)
+        p.add_option("--r", type=float, default=3.0, help="mesh grading exponent")
+        p.add_option("--eps", dest="epsilon", type=float, default=1e-10,
+                     help="kernel compression accuracy target, in [1e-14, 1e-2)")
+        p.add_option("--method", choices=("fast", "direct", "both"), default="fast")
+        p.add_option("--N", dest="n_list", type=_int_list, default=[],
+                     help="comma list of time step counts")
+        p.add_option("--M", dest="m_list", type=_int_list, default=[],
+                     help="comma list of space cell counts")
+        p.add_option("--T", type=float, default=2.0)
+        p.add_option("--norm", choices=("l2", "h1"), default="l2")
+        p.add_option("--out", type=str, default=None,
+                     help="output CSV path (optional for soe-check)")
+        return p
 
-    p_solve = sub.add_parser("solve", help="march one configuration, dump solution CSV")
-    add_common(p_solve)
-    p_solve.add_argument("--levels", type=_int_list, default=None,
-                         help="time levels to dump (default: 5 evenly strided)")
+    add_command("solve", "march one configuration, dump solution CSV").add_option(
+        "--levels", type=_int_list, default=None,
+        help="time levels to dump (default: 5 evenly strided)")
 
-    p_conv = sub.add_parser("convergence", help="error/order table over a sweep")
-    add_common(p_conv)
+    add_command("convergence", "error/order table over a sweep")
 
-    p_bench = sub.add_parser("bench", help="wall-time scaling study")
-    add_common(p_bench)
-    p_bench.add_argument("--reps", type=int, default=None,
-                         help="timing repetitions per row (median reported)")
-    p_bench.add_argument("--direct-max-n", type=int, default=None,
-                         help="skip the direct method above this N")
+    p_bench = add_command("bench", "wall-time scaling study")
+    p_bench.set_defaults(method="both")
+    p_bench.add_option("--reps", type=_positive_int, default=3,
+                       help="timing repetitions per row (median reported)")
+    p_bench.add_option("--direct-max-n", type=int, default=None,
+                       help="skip the direct method above this N")
 
-    p_soe = sub.add_parser("soe-check", help="build + certify a kernel approximation")
-    add_common(p_soe)
-    p_soe.add_argument("--t-min", dest="t_min", type=float, default=None)
-    p_soe.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p_soe.add_argument("--samples", type=int, default=None,
-                       help="certification sample count")
-    return parser
-
-
-_SPEC_TYPES = typing.get_type_hints(RunSpec)
+    p_soe = add_command("soe-check", "build + certify a kernel approximation")
+    p_soe.add_option("--t-min", dest="t_min", type=float, default=None)
+    p_soe.add_option("--t-max", dest="t_max", type=float, default=None)
+    p_soe.add_option("--samples", type=_positive_int, default=10_000,
+                     help="certification sample count")
+    return parser, commands
 
 
-def _fits(value, annotation) -> bool:
-    """Whether a config-file value fits a RunSpec field's annotation.
+# the JSON types of a config value (a list option: of its items), by flag type
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    _positive_int: (int, "an integer"),
+    _int_list: (int, "a list of integers"),
+    str: (str, "a string"),
+    None: (str, "a string"),
+}
 
-    A float field also takes an int, a list field must hold ints, and a
-    JSON true/false is never a number.
+
+def _check_config_value(action: argparse.Action, value) -> None:
+    """Raise ValueError or ArgumentTypeError unless the flag of ``action``
+    could take ``value``: its JSON type fits (a float option also takes an
+    int, true/false is never a number), null only where the flag defaults to
+    None, and the flag's choices and type function hold."""
+    if value is None:
+        if action.default is not None:
+            raise ValueError("must not be null")
+        return
+    json_types, name = _JSON_TYPES[action.type]
+    items = value if isinstance(value, list) else [value]
+    if (isinstance(value, list) != (action.type is _int_list)
+            or not all(isinstance(v, json_types) and not isinstance(v, bool) for v in items)):
+        raise ValueError(f"must be {name}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"must be one of {', '.join(action.choices)}, got {value!r}")
+    if action.type is not None:
+        action.type(",".join(map(str, items)))
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv``; precedence: flags > config file > built-in defaults.
+
+    Every config-file key must name the dest of some subcommand's flag, and
+    its value must be one that flag could take.  Keys of another subcommand
+    are checked, then ignored.
     """
-    if isinstance(annotation, types.UnionType):
-        return any(_fits(value, arg) for arg in annotation.__args__)
-    if annotation is type(None):
-        return value is None
-    if isinstance(value, bool):
-        return False
-    if annotation is float:
-        return isinstance(value, (int, float))
-    if typing.get_origin(annotation) is list:
-        return isinstance(value, list) and all(_fits(v, int) for v in value)
-    return isinstance(value, annotation)
-
-
-def _check_file_values(path: str, file_values: dict) -> None:
-    """Reject a config-file key that is no RunSpec field, or a value whose
-    type does not fit its field."""
-    for key, value in file_values.items():
-        if key not in _SPEC_TYPES:
-            raise _usage_error(f"config {path}: unknown key {key!r}")
-        if key != "command" and not _fits(value, _SPEC_TYPES[key]):
-            raise _usage_error(
-                f"config {path}: {key} must be {RunSpec.__annotations__[key]}, got {value!r}"
-            )
-
-
-def _resolve_spec(args: argparse.Namespace) -> RunSpec:
-    """Merge precedence: flags > config file > built-in defaults."""
-    file_values: dict = {}
-    if getattr(args, "config", None):
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
         try:
             with open(args.config) as fh:
-                file_values = json.load(fh)
+                values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise _usage_error(f"cannot read config {args.config}: {exc}")
-        if not isinstance(file_values, dict):
+        if not isinstance(values, dict):
             raise _usage_error(f"config {args.config} must hold a JSON object")
-        _check_file_values(args.config, file_values)
-    spec = RunSpec(command=args.command)
-    defaulted = set()
-    for name in vars(spec):
-        if name == "command":
-            continue
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            setattr(spec, name, flag_value)
-        elif name in file_values:
-            setattr(spec, name, file_values[name])
-        else:
-            defaulted.add(name)
-    if spec.command == "bench" and "method" in defaulted:
-        spec.method = "both"
-    return spec
+        options = commands[args.command].options
+        known = {dest: a for p in commands.values() for dest, a in p.options.items()}
+        for key, value in values.items():
+            if key not in known:
+                raise _usage_error(f"config {args.config}: unknown key {key!r}")
+            try:
+                _check_config_value(options.get(key, known[key]), value)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise _usage_error(f"config {args.config}: {key}: {exc}")
+        commands[args.command].set_defaults(
+            **{key: value for key, value in values.items() if key in options}
+        )
+        args = parser.parse_args(argv)
+    if args.out is None and args.command != "soe-check":
+        raise _usage_error(f"{args.command} needs --out")
+    return args
 
 
-def _open_out(spec: RunSpec):
-    if spec.out is None:
-        raise _usage_error("--out is required for this subcommand")
+def header_lines(args: argparse.Namespace) -> list[str]:
+    return [
+        f"# tfade {args.command}",
+        "# alpha={} lambda={} delta={} r={} eps={} method={} M={} N={} T={} case={} norm={}".format(
+            args.alpha, args.lam, args.delta, args.r, args.epsilon, args.method,
+            ",".join(map(str, args.m_list)) or "-",
+            ",".join(map(str, args.n_list)) or "-",
+            args.T, args.case_id, args.norm,
+        ),
+    ]
+
+
+def _open_out(args: argparse.Namespace):
     try:
-        return open(spec.out, "w", newline="")
+        return open(args.out, "w", newline="")
     except OSError as exc:
-        sys.stderr.write(f"error: cannot write {spec.out}: {exc}\n")
+        sys.stderr.write(f"error: cannot write {args.out}: {exc}\n")
         raise SystemExit(EXIT_USAGE)
 
 
-def _methods(spec: RunSpec) -> list[str]:
-    return ["fast", "direct"] if spec.method == "both" else [spec.method]
+def _methods(args: argparse.Namespace) -> list[str]:
+    return ["fast", "direct"] if args.method == "both" else [args.method]
 
 
-def _problem(spec: RunSpec) -> ManufacturedCase:
+def _problem(args: argparse.Namespace) -> ManufacturedCase:
     try:
-        return case(spec.case_id, spec.alpha, spec.lam, spec.delta)
+        return case(args.case_id, args.alpha, args.lam, args.delta)
     except ValueError as exc:
         raise _usage_error(str(exc))
 
 
-def _config(spec: RunSpec, m_cells, n_steps, method: str) -> SchemeConfig:
+def _config(args: argparse.Namespace, m_cells, n_steps, method: str) -> SchemeConfig:
     """The SchemeConfig of one solve; an invalid value is a usage error."""
     try:
-        return SchemeConfig(alpha=spec.alpha, lam=spec.lam, M=m_cells, N=n_steps,
-                            T=spec.T, r=spec.r, epsilon=spec.epsilon, method=method)
+        return SchemeConfig(alpha=args.alpha, lam=args.lam, M=m_cells, N=n_steps,
+                            T=args.T, r=args.r, epsilon=args.epsilon, method=method)
     except ValueError as exc:
         raise _usage_error(str(exc))
 
 
-def cmd_solve(spec: RunSpec) -> int:
-    if len(spec.n_list) != 1 or len(spec.m_list) != 1:
+def cmd_solve(args: argparse.Namespace) -> int:
+    if len(args.n_list) != 1 or len(args.m_list) != 1:
         raise _usage_error("solve needs exactly one value in --N and one in --M")
-    n_steps, m_cells = spec.n_list[0], spec.m_list[0]
-    mc = _problem(spec)
-    method = spec.method if spec.method != "both" else "fast"
-    levels = spec.levels or sorted({0, n_steps // 4, n_steps // 2, 3 * n_steps // 4, n_steps})
+    n_steps, m_cells = args.n_list[0], args.m_list[0]
+    mc = _problem(args)
+    method = args.method if args.method != "both" else "fast"
+    levels = args.levels or sorted({0, n_steps // 4, n_steps // 2, 3 * n_steps // 4, n_steps})
     bad = [n for n in levels if not 0 <= n <= n_steps]
     if bad:
         raise _usage_error(f"levels must lie in 0..{n_steps}, got {bad}")
-    traj = run(_config(spec, m_cells, n_steps, method), mc)
+    traj = run(_config(args, m_cells, n_steps, method), mc)
     x = traj.grid.x
-    with _open_out(spec) as fh:
-        for line in spec.header_lines():
+    with _open_out(args) as fh:
+        for line in header_lines(args):
             fh.write(line + "\n")
         fh.write("x,t,U,exact,abs_err\n")
         for n in levels:
             t_n = traj.mesh.t[n]
             u_full = traj.full_level(n)
             exact = mc.exact(x, t_n)
-            for j in range(len(x)):
-                err = abs(u_full[j] - exact[j])
-                fh.write(f"{x[j]:.10e},{t_n:.10e},{u_full[j]:.10e},{exact[j]:.10e},{err:.10e}\n")
+            rows = np.column_stack([x, np.full_like(x, t_n), u_full, exact, np.abs(u_full - exact)])
+            np.savetxt(fh, rows, fmt="%.10e", delimiter=",")
     final_err = l2_norm(
         traj.snapshots[n_steps] - mc.exact(traj.grid.x_interior, traj.mesh.t[-1]), traj.grid.h
     )
     print(f"final-level L2 error: {final_err:.6e}")
-    print(f"wrote {spec.out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def _sweep_axis(spec: RunSpec) -> tuple[str, list[int], int]:
+def _sweep_axis(args: argparse.Namespace) -> tuple[str, list[int], int]:
     """Return (knob name, sweep values, fixed counterpart)."""
-    if not spec.n_list and not spec.m_list:
+    if not args.n_list and not args.m_list:
         raise _usage_error("provide at least one sweep list via --N or --M")
-    if len(spec.n_list) > 1 and len(spec.m_list) > 1:
+    if len(args.n_list) > 1 and len(args.m_list) > 1:
         raise _usage_error("sweep either --N or --M, not both")
-    if len(spec.m_list) > 1:
-        if len(spec.n_list) != 1:
+    if len(args.m_list) > 1:
+        if len(args.n_list) != 1:
             raise _usage_error("a space sweep needs exactly one fixed --N")
-        return "M", spec.m_list, spec.n_list[0]
-    if not spec.n_list:
+        return "M", args.m_list, args.n_list[0]
+    if not args.n_list:
         raise _usage_error("a space sweep needs exactly one fixed --N")
-    if len(spec.m_list) != 1:
+    if len(args.m_list) != 1:
         raise _usage_error("a time sweep needs exactly one fixed --M")
-    return "N", spec.n_list, spec.m_list[0]
+    return "N", args.n_list, args.m_list[0]
 
 
-def cmd_convergence(spec: RunSpec) -> int:
-    if spec.case_id == 0:
+def cmd_convergence(args: argparse.Namespace) -> int:
+    if args.case_id == 0:
         raise _usage_error("convergence needs a manufactured case (1|2|3)")
-    knob, sweep, fixed = _sweep_axis(spec)
-    mc = _problem(spec)
+    knob, sweep, fixed = _sweep_axis(args)
+    mc = _problem(args)
 
-    jobs = [(method, value) for method in _methods(spec) for value in sweep]
+    jobs = [(method, value) for method in _methods(args) for value in sweep]
     # every config is checked before any job reaches the pool
     configs = [
-        _config(spec, *((fixed, value) if knob == "N" else (value, fixed)), method)
+        _config(args, *((fixed, value) if knob == "N" else (value, fixed)), method)
         for method, value in jobs
     ]
 
     def one(cfg: SchemeConfig) -> float:
-        return max_error(run(cfg, mc), mc, spec.norm)
+        return max_error(run(cfg, mc), mc, args.norm)
 
     workers = min(8, os.cpu_count() or 1, len(jobs))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(one, cfg) for cfg in configs]
         errors = {job: fut.result() for job, fut in zip(jobs, futures)}
 
-    with _open_out(spec) as fh:
-        for line in spec.header_lines():
+    with _open_out(args) as fh:
+        for line in header_lines(args):
             fh.write(line + "\n")
         fh.write("knob,error,order,method,norm\n")
-        for method in _methods(spec):
+        for method in _methods(args):
             rows = order_table([(value, errors[(method, value)]) for value in sweep])
             for row in rows:
                 order = "" if row.order is None else f"{row.order:.4f}"
-                fh.write(f"{row.knob},{row.err:.10e},{order},{method},{spec.norm}\n")
-    print(f"wrote {spec.out}")
+                fh.write(f"{row.knob},{row.err:.10e},{order},{method},{args.norm}\n")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -329,26 +325,25 @@ def _loglog_slope(ns: list[int], ts: list[float]) -> float:
     return float(np.polyfit(np.log(ns), np.log(ts), 1)[0])
 
 
-def cmd_bench(spec: RunSpec) -> int:
-    if spec.case_id == 0:
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.case_id == 0:
         raise _usage_error("bench needs a manufactured case (1|2|3)")
-    if len(spec.n_list) < 5:
+    if len(args.n_list) < 5:
         raise _usage_error("bench needs an --N list with at least 4 doublings")
-    for a, b in zip(spec.n_list, spec.n_list[1:]):
+    for a, b in zip(args.n_list, args.n_list[1:]):
         if b != 2 * a:
             raise _usage_error("bench --N list must double at every entry")
-    if len(spec.m_list) != 1:
+    if len(args.m_list) != 1:
         raise _usage_error("bench needs exactly one --M value")
-    m_cells = spec.m_list[0]
-    mc = _problem(spec)
-    methods = _methods(spec)
-    reps = max(1, spec.reps)
+    m_cells = args.m_list[0]
+    mc = _problem(args)
+    methods = _methods(args)
 
     def timed(method: str, n_steps: int) -> tuple[float, int]:
-        cfg = _config(spec, m_cells, n_steps, method)
+        cfg = _config(args, m_cells, n_steps, method)
         walls = []
         n_exp = 0
-        for _ in range(reps):
+        for _ in range(args.reps):
             traj = run(cfg, mc)
             walls.append(traj.wall_time)
             n_exp = traj.n_exp_used
@@ -357,23 +352,23 @@ def cmd_bench(spec: RunSpec) -> int:
 
     # warm code paths (quadrature caches) outside the timings
     for method in methods:
-        run(_config(spec, m_cells, spec.n_list[0], method), mc)
+        run(_config(args, m_cells, args.n_list[0], method), mc)
 
     rows: list[TimingRow] = []
-    for n_steps in spec.n_list:
+    for n_steps in args.n_list:
         wall_fast = nexp = None
         wall_direct = None
         if "fast" in methods:
             wall_fast, nexp = timed("fast", n_steps)
-        if "direct" in methods and (spec.direct_max_n is None or n_steps <= spec.direct_max_n):
+        if "direct" in methods and (args.direct_max_n is None or n_steps <= args.direct_max_n):
             wall_direct, _ = timed("direct", n_steps)
         rows.append(TimingRow(n_steps, wall_fast, wall_direct, nexp))
         print(f"N={n_steps}: fast={wall_fast if wall_fast is None else f'{wall_fast:.3f}s'} "
               f"direct={wall_direct if wall_direct is None else f'{wall_direct:.3f}s'} "
               f"n_exp={nexp}")
 
-    with _open_out(spec) as fh:
-        for line in spec.header_lines():
+    with _open_out(args) as fh:
+        for line in header_lines(args):
             fh.write(line + "\n")
         fh.write("N,wall_seconds_fast,wall_seconds_direct,n_exp\n")
         for row in rows:
@@ -393,39 +388,37 @@ def cmd_bench(spec: RunSpec) -> int:
             line = "# loglog " + " ".join(summary)
             fh.write(line + "\n")
             print(line)
-    print(f"wrote {spec.out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def cmd_soe_check(spec: RunSpec) -> int:
-    if spec.t_min is None or spec.t_max is None:
+def cmd_soe_check(args: argparse.Namespace) -> int:
+    if args.t_min is None or args.t_max is None:
         raise _usage_error("soe-check needs --t-min and --t-max")
     try:
-        soe = build_soe(spec.alpha, spec.epsilon, spec.t_min, spec.t_max)
+        soe = build_soe(args.alpha, args.epsilon, args.t_min, args.t_max)
     except ValueError as exc:
         raise _usage_error(str(exc))
-    report = certify_soe(soe, n_samples=max(100, spec.samples))
+    report = certify_soe(soe, n_samples=max(100, args.samples))
     print(f"n_exp: {soe.n_exp}")
     print(f"max relative error: {report.max_rel_error:.6e} at t = {report.argmax_t:.6e}")
-    if spec.out is not None:
-        t = np.geomspace(spec.t_min, spec.t_max, min(spec.samples, 10_000))
-        kern = t ** (-1.0 - spec.alpha)
+    if args.out is not None:
+        t = np.geomspace(args.t_min, args.t_max, min(args.samples, 10_000))
+        kern = t ** (-1.0 - args.alpha)
         vals = eval_soe(soe, t)
         rel = np.abs(vals - kern) / kern
-        with _open_out(spec) as fh:
-            for line in spec.header_lines():
+        with _open_out(args) as fh:
+            for line in header_lines(args):
                 fh.write(line + "\n")
-            fh.write(f"# t_min={spec.t_min} t_max={spec.t_max} n_exp={soe.n_exp}\n")
+            fh.write(f"# t_min={args.t_min} t_max={args.t_max} n_exp={soe.n_exp}\n")
             fh.write("t,kernel,soe,rel_err\n")
-            for j in range(len(t)):
-                fh.write(f"{t[j]:.10e},{kern[j]:.10e},{vals[j]:.10e},{rel[j]:.10e}\n")
-        print(f"wrote {spec.out}")
+            np.savetxt(fh, np.column_stack([t, kern, vals, rel]), fmt="%.10e", delimiter=",")
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    spec = _resolve_spec(args)
+    args = _parse(argv)
     handlers = {
         "solve": cmd_solve,
         "convergence": cmd_convergence,
@@ -433,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         "soe-check": cmd_soe_check,
     }
     try:
-        return handlers[spec.command](spec)
+        return handlers[args.command](args)
     except (CertificationError, SolveError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tfade.cli as cli
@@ -227,13 +227,14 @@ class TestInvalidInput:
         monkeypatch.setattr(cli, "run", refuse)
         monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
 
-    def _assert_usage_error(self, argv, capsys):
+    def _assert_usage_error(self, argv, capsys, names=""):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 1
         stderr = capsys.readouterr().err
         assert "Traceback" not in stderr
         assert len(stderr.strip().splitlines()) == 1
+        assert names in stderr
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -241,6 +242,7 @@ class TestInvalidInput:
             ("--lambda", "nan"), ("--T", "inf"), ("--r", "nan"),
             ("--delta", "inf"), ("--delta", "nan"), ("--delta", "-0.2"),
             ("--eps", "0.5"), ("--eps", "1e-16"),
+            ("--alpha", "abc"),  # plain argparse would exit 2, the numerical-failure code
         ],
     )
     def test_non_finite_solve_flag(self, tmp_path, capsys, flag, value):
@@ -280,8 +282,39 @@ class TestInvalidInput:
             cli.main(["solve", "--config", str(cfg), "--N", "16", "--M", "8"])
         assert "alpha" in capsys.readouterr().err
 
+    def test_norm_outside_its_choices_in_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"norm": "h3"}))
+        self._assert_usage_error([
+            "convergence", "--config", str(cfg), "--case", "1", "--N", "8", "--M", "8,16",
+            "--method", "both", "--out", str(tmp_path / "x.csv"),
+        ], capsys, "norm")
 
-# RunSpec keys a config file may set, by the type their values must have
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--N", "8", "--M", "8"],
+        ["convergence", "--case", "1", "--N", "500", "--M", "20,40,80,160", "--method", "both"],
+        ["bench", "--N", "4,8,16,32,64", "--M", "12"],
+    ])
+    def test_missing_out_refused_before_the_solve(self, capsys, argv):
+        self._assert_usage_error(argv, capsys, "--out")
+
+    @pytest.mark.parametrize("count", ["-5", "0"])
+    @pytest.mark.parametrize("command,flag,extra", [
+        ("soe-check", "--samples", ["--t-min", "1e-4", "--t-max", "2"]),
+        ("bench", "--reps", ["--N", "4,8,16,32,64", "--M", "12"]),
+    ])
+    def test_count_below_one_refused(self, tmp_path, capsys, monkeypatch, command, flag, extra, count):
+        """As a flag and as a config value, before any certification or timing."""
+        monkeypatch.setattr(cli, "build_soe", lambda *a, **k: pytest.fail("certified"))
+        argv = [command, *extra, "--out", str(tmp_path / "x.csv")]
+        self._assert_usage_error(argv + [flag, count], capsys, flag)
+        cfg = tmp_path / "cfg.json"
+        key = flag.removeprefix("--")
+        cfg.write_text(json.dumps({key: int(count)}))
+        self._assert_usage_error(argv + ["--config", str(cfg)], capsys, key)
+
+
+# keys a config file may set, by the type their values must have
 _FLOAT_KEYS = ["alpha", "lam", "delta", "r", "epsilon", "T"]
 _OPTIONAL_FLOAT_KEYS = ["t_min", "t_max"]
 _INT_KEYS = ["case_id", "samples", "reps"]
@@ -292,6 +325,7 @@ _LIST_KEYS = ["n_list", "m_list"]
 _OPTIONAL_LIST_KEYS = ["levels"]
 _ALL_KEYS = (_FLOAT_KEYS + _OPTIONAL_FLOAT_KEYS + _INT_KEYS + _OPTIONAL_INT_KEYS
              + _STR_KEYS + _OPTIONAL_STR_KEYS + _LIST_KEYS + _OPTIONAL_LIST_KEYS)
+_CHOICES = {"method": ("fast", "direct", "both"), "norm": ("l2", "h1")}
 
 _junk = st.one_of(
     st.text(max_size=5),
@@ -312,13 +346,16 @@ _not_an_int_list = st.one_of(
 
 
 def _wrong_value(key):
-    """Values of a type that the RunSpec field ``key`` must not take."""
+    """Values that the flag setting ``key`` could not take: a wrong type, or
+    a string outside its choices."""
     for keys, optional, wrong in (
         (_FLOAT_KEYS, _OPTIONAL_FLOAT_KEYS, _not_a_number),
         (_INT_KEYS, _OPTIONAL_INT_KEYS, _not_an_int),
         (_STR_KEYS, _OPTIONAL_STR_KEYS, _not_a_str),
         (_LIST_KEYS, _OPTIONAL_LIST_KEYS, _not_an_int_list),
     ):
+        if key in _CHOICES and key in keys + optional:
+            wrong = st.one_of(wrong, st.text(max_size=6).filter(lambda v: v not in _CHOICES[key]))
         if key in keys:
             return st.one_of(wrong, st.none())
         if key in optional:
@@ -328,12 +365,15 @@ def _wrong_value(key):
 
 class TestConfigFileTypes:
     def test_every_spec_field_is_covered(self):
-        assert sorted(_ALL_KEYS) == sorted(
-            k for k in vars(cli.RunSpec(command="-")) if k != "command"
-        )
+        _, commands = cli._build_parser()
+        assert sorted(_ALL_KEYS) == sorted({k for p in commands.values() for k in p.options})
+        for key, choices in _CHOICES.items():
+            assert all(p.options[key].choices == choices for p in commands.values())
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(_ALL_KEYS).flatmap(lambda k: st.tuples(st.just(k), _wrong_value(k))))
+    @example(("norm", "h3"))
+    @example(("method", "both2"))
     def test_any_wrongly_typed_value_is_a_usage_error(self, key_value):
         """Exit 1 with one stderr line naming the key; nothing is solved."""
         key, value = key_value
@@ -350,9 +390,10 @@ class TestConfigFileTypes:
         assert len(lines) == 1
         assert key in lines[0]
 
-    @pytest.mark.parametrize("key", ["alpah", "L"])
+    @pytest.mark.parametrize("key", ["alpah", "L", "command"])
     def test_unknown_key_is_a_usage_error(self, tmp_path, capsys, key):
-        """A misspelt or retired key is refused, not silently ignored."""
+        """A misspelt or retired key, or one that names no flag, is refused,
+        not silently ignored."""
         cfg = tmp_path / "typo.json"
         cfg.write_text(json.dumps({key: 0.25, "n_list": [16], "m_list": [8]}))
         with mock.patch.object(cli, "run", side_effect=AssertionError("reached the solver")):
@@ -371,6 +412,10 @@ class TestConfigFileTypes:
     def test_well_typed_values_pass(self, tmp_path, values):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
-        spec = cli._resolve_spec(cli._build_parser().parse_args(["solve", "--config", str(cfg)]))
+        argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]
+        if "out" in values:  # --out is optional only for soe-check
+            argv = ["soe-check", "--config", str(cfg)]
+        args = cli._parse(argv)
         for key, value in values.items():
-            assert getattr(spec, key) == value
+            # a key of another subcommand is checked, then ignored
+            assert getattr(args, key, value) == value

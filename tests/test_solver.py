@@ -150,6 +150,16 @@ class TestThomas:
         with pytest.raises(SolveError):
             thomas_solve(sys_)
 
+    @pytest.mark.parametrize("diag,rhs,message", [
+        (0.0, 1.0, "pivot breakdown at row 0"),
+        (1e-300, 1e300, "non-finite solution"),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_one_unknown_failures_reported(self, diag, rhs, message):
+        one = np.ones(1)
+        with pytest.raises(SolveError, match=message):
+            thomas_solve(TridiagonalSystem(one, diag * one, one, rhs * one))
+
 
 def _step0_system(cfg: SchemeConfig, u0: np.ndarray, f_bar: np.ndarray):
     """The step-0 system of ``cfg`` from the initial interior values u0."""
@@ -317,13 +327,16 @@ class TestRun:
             for n in range(cfg.N + 1):
                 assert np.array_equal(ref.snapshots[n], rows.snapshots[n])
 
-    @pytest.mark.parametrize("method", ["direct", "fast"])
-    def test_numpy_march_matches_step_reference(self, method):
+    @pytest.mark.parametrize(
+        "method,M", [("direct", 24), ("fast", 24), ("direct", 2), ("fast", 2)],
+        ids=["direct", "fast", "direct-M2", "fast-M2"],  # M=2: one unknown, 1x1 solves
+    )
+    def test_numpy_march_matches_step_reference(self, method, M):
         # run's march folds the per-step coefficients into per-run tables;
         # rebuild every level from explicit_part + assemble_step and a dense
         # solve instead
         mc = case(1, 0.25)
-        cfg = SchemeConfig(alpha=0.25, lam=1.0, M=24, N=24, method=method)
+        cfg = SchemeConfig(alpha=0.25, lam=1.0, M=M, N=24, method=method)
         traj = run(cfg, mc)
         mesh = graded_mesh(cfg.T, cfg.N, cfg.r)
         grid = uniform_grid(cfg.L, cfg.M)
